@@ -11,13 +11,7 @@ from .constraints import (
     UserIndependentConstraint,
 )
 from .generator import GeneratorConfig, SplitMix64, density_to_e, generate
-from .matching import (
-    PatternGraph,
-    build_graph,
-    find_full_matching,
-    match_blocks,
-    matching_to_plan,
-)
+from .matching import match_blocks
 from .model import (
     SAT,
     TIMEOUT,
@@ -74,7 +68,6 @@ __all__ = [
     "OracleResult",
     "ParseError",
     "Pattern",
-    "PatternGraph",
     "Plan",
     "PlanVerdict",
     "PreprocessResult",
@@ -89,16 +82,13 @@ __all__ = [
     "Valid",
     "Violates",
     "WorkflowInstance",
-    "build_graph",
     "canonicalize",
     "density_to_e",
     "encode",
     "enumerate_complete",
-    "find_full_matching",
     "format_solution",
-    "match_blocks",
     "generate",
-    "matching_to_plan",
+    "match_blocks",
     "oracle_solve",
     "parse_instance",
     "parse_solution",

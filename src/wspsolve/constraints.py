@@ -4,9 +4,12 @@ Every family here is user-independent: whether a plan satisfies the
 constraint depends only on which steps share a user, never on which
 user it is.  Each constraint therefore supports two views:
 
-* ``satisfied_by(plan)`` evaluates a concrete complete plan, and
-* ``check_complete`` / ``check_partial`` evaluate a pattern, i.e. the
-  step-grouping structure of a plan with users abstracted away.
+* ``satisfied_by(plan)`` decides a complete assignment.  It only reads
+  ``plan[s]`` for the steps of its scope and compares the values for
+  equality, so it accepts a concrete plan (step -> user) and a complete
+  pattern (a label per step) alike, with the same verdict.
+* ``check_partial(pattern)`` evaluates a possibly incomplete pattern,
+  rejecting it only when no completion can satisfy the constraint.
 
 Patterns are passed as sequences of integer labels indexed by step,
 where 0 marks an unassigned step and equal positive labels mean
@@ -23,21 +26,23 @@ from typing import Mapping, Protocol, Sequence, runtime_checkable
 class UserIndependentConstraint(Protocol):
     """Extension point for additional user-independent constraint families.
 
-    ``scope`` must list every step the predicate reads.  The solver
-    re-checks a constraint only when a step of its scope was just
-    assigned, so implementations must honour two contracts:
+    ``scope`` must list every step the predicate reads.
+    ``satisfied_by`` is the reference verdict: plan validation and the
+    oracle call it with a plan, and the solver calls it with a complete
+    pattern when pruning is off, so it may only index its argument by
+    step and compare the values for equality.  The solver re-checks a
+    constraint only when a step of its scope was just assigned, so
+    implementations must honour two contracts:
 
     * ``check_partial`` may report dead (return ``False``) only when no
       completion of the pattern can satisfy the constraint, and
     * once every scope step is assigned, ``check_partial`` must decide
-      exactly, i.e. agree with ``check_complete``.
+      exactly, i.e. agree with ``satisfied_by``.
     """
 
     scope: frozenset[int]
 
-    def satisfied_by(self, plan: Mapping[int, int]) -> bool: ...
-
-    def check_complete(self, pattern: Sequence[int]) -> bool: ...
+    def satisfied_by(self, plan: Mapping[int, int] | Sequence[int]) -> bool: ...
 
     def check_partial(self, pattern: Sequence[int]) -> bool: ...
 
@@ -68,11 +73,8 @@ class NotEquals:
             raise ValueError("not-equals endpoints must differ")
         object.__setattr__(self, "scope", frozenset((self.s, self.t)))
 
-    def satisfied_by(self, plan: Mapping[int, int]) -> bool:
+    def satisfied_by(self, plan: Mapping[int, int] | Sequence[int]) -> bool:
         return plan[self.s] != plan[self.t]
-
-    def check_complete(self, pattern: Sequence[int]) -> bool:
-        return pattern[self.s] != pattern[self.t]
 
     def check_partial(self, pattern: Sequence[int]) -> bool:
         # Dead only once both endpoints are assigned the same label.
@@ -97,11 +99,8 @@ class BindingOfDuty:
             raise ValueError("binding-of-duty endpoints must differ")
         object.__setattr__(self, "scope", frozenset((self.s, self.t)))
 
-    def satisfied_by(self, plan: Mapping[int, int]) -> bool:
+    def satisfied_by(self, plan: Mapping[int, int] | Sequence[int]) -> bool:
         return plan[self.s] == plan[self.t]
-
-    def check_complete(self, pattern: Sequence[int]) -> bool:
-        return pattern[self.s] == pattern[self.t]
 
     def check_partial(self, pattern: Sequence[int]) -> bool:
         a, b = pattern[self.s], pattern[self.t]
@@ -121,11 +120,8 @@ class AtMost:
         if not 1 <= self.r <= len(self.scope):
             raise ValueError("at-most bound must satisfy 1 <= r <= |scope|")
 
-    def satisfied_by(self, plan: Mapping[int, int]) -> bool:
+    def satisfied_by(self, plan: Mapping[int, int] | Sequence[int]) -> bool:
         return len({plan[s] for s in self.scope}) <= self.r
-
-    def check_complete(self, pattern: Sequence[int]) -> bool:
-        return len({pattern[s] for s in self.scope}) <= self.r
 
     def check_partial(self, pattern: Sequence[int]) -> bool:
         # Labels only accumulate, so exceeding r among the assigned
@@ -147,11 +143,8 @@ class AtLeast:
         if not 1 <= self.r <= len(self.scope):
             raise ValueError("at-least bound must satisfy 1 <= r <= |scope|")
 
-    def satisfied_by(self, plan: Mapping[int, int]) -> bool:
+    def satisfied_by(self, plan: Mapping[int, int] | Sequence[int]) -> bool:
         return len({plan[s] for s in self.scope}) >= self.r
-
-    def check_complete(self, pattern: Sequence[int]) -> bool:
-        return len({pattern[s] for s in self.scope}) >= self.r
 
     def check_partial(self, pattern: Sequence[int]) -> bool:
         # Each unassigned scope step can contribute at most one fresh
@@ -178,10 +171,7 @@ class Never:
         if not self.scope:
             raise ValueError("contradiction marker needs a non-empty scope")
 
-    def satisfied_by(self, plan: Mapping[int, int]) -> bool:
-        return False
-
-    def check_complete(self, pattern: Sequence[int]) -> bool:
+    def satisfied_by(self, plan: Mapping[int, int] | Sequence[int]) -> bool:
         return False
 
     def check_partial(self, pattern: Sequence[int]) -> bool:

@@ -2,69 +2,17 @@
 
 A complete pattern is realisable by an authorised plan exactly when the
 bipartite graph pairing its blocks with the users authorised for every
-step of the block has a matching that covers all blocks.  The matcher
-grows a matching one block at a time with augmenting paths; as soon as
-one block admits no augmenting path the maximum matching can never
-cover all blocks, so the search aborts immediately.
+step of the block has a matching that covers all blocks.  The solver
+hands ``match_blocks`` one user bitmask per block (the pattern's cached
+block intersections) and turns the returned users into the witness
+plan.  The matcher grows a matching one block at a time with augmenting
+paths; as soon as one block admits no augmenting path the maximum
+matching can never cover all blocks, so the search aborts immediately.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .model import Plan, WorkflowInstance
-    from .pattern import Pattern
-
-
-@dataclass(frozen=True)
-class PatternGraph:
-    """Bipartite graph of blocks against users.
-
-    ``labels[i]`` is the block label of left vertex i, ``block_steps[i]``
-    its steps, and ``adjacency[i]`` a bitmask of the users authorised for
-    every step of the block.
-    """
-
-    user_count: int
-    labels: tuple[int, ...]
-    block_steps: tuple[tuple[int, ...], ...]
-    adjacency: tuple[int, ...]
-
-    def users_for(self, label: int) -> frozenset[int]:
-        i = self.labels.index(label)
-        mask = self.adjacency[i]
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return frozenset(out)
-
-
-def build_graph(instance: "WorkflowInstance", pattern: "Pattern") -> PatternGraph:
-    """Build the block/user graph for a complete pattern.
-
-    Reuses the pattern's cached block intersections when the pattern was
-    constructed with authorisation masks, otherwise intersects the
-    instance's per-step user sets directly.
-    """
-    if not pattern.is_complete:
-        raise ValueError("pattern is not complete")
-    labels = tuple(range(1, pattern.max_label + 1))
-    blocks = tuple(pattern.block_steps(x) for x in labels)
-    masks = []
-    step_masks = instance.auth.step_user_masks
-    for x, steps in zip(labels, blocks):
-        try:
-            mask = pattern.block_user_mask(x)
-        except ValueError:
-            mask = ~0
-            for s in steps:
-                mask &= step_masks[s]
-        masks.append(mask)
-    return PatternGraph(instance.user_count, labels, blocks, tuple(masks))
+from typing import Sequence
 
 
 def match_blocks(adjacency: Sequence[int], order: Sequence[int]) -> list[int] | None:
@@ -109,32 +57,3 @@ def match_blocks(adjacency: Sequence[int], order: Sequence[int]) -> list[int] | 
         if not ok:
             return None
     return user_of
-
-
-def find_full_matching(graph: PatternGraph) -> dict[int, int] | None:
-    """Match every block to its own authorised user, if possible.
-
-    Blocks are processed largest first (ties by label) so that the most
-    constrained vertices fail early.  Returns a label -> user mapping
-    covering every block, or None when no such matching exists.
-    """
-    order = sorted(
-        range(len(graph.labels)),
-        key=lambda i: (-len(graph.block_steps[i]), graph.labels[i]),
-    )
-    user_of = match_blocks(graph.adjacency, order)
-    if user_of is None:
-        return None
-    return {label: user_of[i] for i, label in enumerate(graph.labels)}
-
-
-def matching_to_plan(pattern: "Pattern", matching: dict[int, int]) -> "Plan":
-    """Turn a block -> user matching into a plan on the pattern's steps."""
-    plan: dict[int, int] = {}
-    for label in range(1, pattern.max_label + 1):
-        if label not in matching:
-            raise ValueError(f"matching does not cover block {label}")
-        u = matching[label]
-        for s in pattern.block_steps(label):
-            plan[s] = u
-    return dict(sorted(plan.items()))

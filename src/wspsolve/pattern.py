@@ -110,15 +110,6 @@ class Pattern:
             raise ValueError("pattern built without authorisation masks")
         return self._inter[label]
 
-    def block_users(self, label: int) -> frozenset[int]:
-        mask = self.block_user_mask(label)
-        users = []
-        while mask:
-            low = mask & -mask
-            users.append(low.bit_length() - 1)
-            mask ^= low
-        return frozenset(users)
-
     def extension_user_mask(self, step: int, label: int) -> int:
         """Intersection the block would have after extend(step, label)."""
         if self._auth is None:

@@ -276,7 +276,7 @@ def _run_search(
             entries = pattern.entries
             if not prune:
                 for c in instance.constraints:
-                    if not c.check_complete(entries):
+                    if not c.satisfied_by(entries):
                         stats.eligibility_prunes += 1
                         return False
             stats.matchings += 1
@@ -319,6 +319,27 @@ def _root_unsat(state: SearchState) -> bool:
     return any(not c.check_partial(zeros) for c in state.instance.constraints)
 
 
+def _drive(
+    instance: WorkflowInstance,
+    params: HeuristicParams | None,
+    time_limit: float | None,
+    prune: bool,
+    emit: Callable[[tuple[int, ...], Plan], bool],
+) -> tuple[SearchStats, bool]:
+    """Run one timed search; returns its stats and whether it timed out."""
+    start = time.perf_counter()
+    state = SearchState(instance, params, prune=prune)
+    timed_out = time_limit is not None and time_limit <= 0
+    if not timed_out and not (prune and _root_unsat(state)):
+        deadline = None if time_limit is None else start + time_limit
+        try:
+            _run_search(state, deadline, emit)
+        except _Timeout:
+            timed_out = True
+    state.stats.wall_time = time.perf_counter() - start
+    return state.stats, timed_out
+
+
 def solve(
     instance: WorkflowInstance,
     params: HeuristicParams | None = None,
@@ -330,34 +351,21 @@ def solve(
 
     ``time_limit`` is wall-clock seconds; on expiry the outcome status
     is timeout.  ``prune=False`` disables the authorisation and
-    eligibility prunes (validity is then established wholesale at the
-    complete patterns), which never changes the verdict.  The instance
-    must already be preprocessed, i.e. free of binding-of-duty
+    eligibility prunes and the root checks: every complete pattern is
+    then reached, and each constraint's ``satisfied_by`` decides it
+    before the matching runs.  This never changes the verdict.  The
+    instance must already be preprocessed, i.e. free of binding-of-duty
     constraints.
     """
-    start = time.perf_counter()
-    state = SearchState(instance, params, prune=prune)
     found: list[Plan] = []
 
     def emit(_pattern: tuple[int, ...], plan: Plan) -> bool:
         found.append(plan)
         return True
 
-    status = UNSAT
-    if time_limit is not None and time_limit <= 0:
-        status = TIMEOUT
-    elif prune and _root_unsat(state):
-        status = UNSAT
-    else:
-        deadline = None if time_limit is None else start + time_limit
-        try:
-            _run_search(state, deadline, emit)
-            if found:
-                status = SAT
-        except _Timeout:
-            status = TIMEOUT
-    state.stats.wall_time = time.perf_counter() - start
-    return SolveOutcome(status, found[0] if found else None, state.stats)
+    stats, timed_out = _drive(instance, params, time_limit, prune, emit)
+    status = TIMEOUT if timed_out else SAT if found else UNSAT
+    return SolveOutcome(status, found[0] if found else None, stats)
 
 
 @dataclass(frozen=True)
@@ -386,8 +394,6 @@ def solve_enumerating(
     Patterns are reported in canonical form (labels renumbered by first
     occurrence in step order) with one witness plan per pattern.
     """
-    start = time.perf_counter()
-    state = SearchState(instance, params, prune=prune)
     patterns: list[tuple[int, ...]] = []
     plans: list[Plan] = []
 
@@ -396,14 +402,5 @@ def solve_enumerating(
         plans.append(plan)
         return False
 
-    timed_out = False
-    if time_limit is not None and time_limit <= 0:
-        timed_out = True
-    elif not (prune and _root_unsat(state)):
-        deadline = None if time_limit is None else start + time_limit
-        try:
-            _run_search(state, deadline, emit)
-        except _Timeout:
-            timed_out = True
-    state.stats.wall_time = time.perf_counter() - start
-    return EnumerationOutcome(tuple(patterns), tuple(plans), state.stats, timed_out)
+    stats, timed_out = _drive(instance, params, time_limit, prune, emit)
+    return EnumerationOutcome(tuple(patterns), tuple(plans), stats, timed_out)

@@ -24,21 +24,18 @@ from wspsolve import (
     AuthorisationLists,
     EnumerationCounters,
     GeneratorConfig,
-    Pattern,
-    PatternGraph,
     Valid,
     WorkflowInstance,
-    build_graph,
     density_to_e,
     encode,
     enumerate_complete,
-    find_full_matching,
     generate,
-    matching_to_plan,
+    match_blocks,
     oracle_solve,
     parse_instance,
     preprocess,
     solve,
+    solve_enumerating,
     validate_plan,
 )
 
@@ -200,13 +197,7 @@ def test_criterion_4_matching_is_trustworthy():
         k = rnd.randint(1, 10)
         n = rnd.randint(1, 100)
         adjacency = tuple(rnd.getrandbits(n) for _ in range(k))
-        graph = PatternGraph(
-            n,
-            tuple(range(1, k + 1)),
-            tuple((j,) for j in range(k)),
-            adjacency,
-        )
-        got = find_full_matching(graph)
+        got = match_blocks(adjacency, range(k))
         ref_size = reference_max_matching(
             [{u for u in range(n) if m >> u & 1} for m in adjacency]
         )
@@ -214,8 +205,8 @@ def test_criterion_4_matching_is_trustworthy():
             failures.append(f"graph {i}: early-exit disagrees with reference")
             break
         if got is not None and (
-            len(set(got.values())) != k
-            or not all(adjacency[x - 1] >> u & 1 for x, u in got.items())
+            len(set(got)) != k
+            or not all(adjacency[j] >> u & 1 for j, u in enumerate(got))
         ):
             failures.append(f"graph {i}: produced matching is invalid")
             break
@@ -232,26 +223,18 @@ def test_criterion_4_matching_is_trustworthy():
         inst = WorkflowInstance(
             k, n, AuthorisationLists.from_step_users(n, step_users), ()
         )
-        realisable = authorised_patterns(inst)
-        masks = inst.auth.step_user_masks
-
-        def check(entries, inst=inst, realisable=realisable, masks=masks):
-            pat = Pattern(inst.step_count, masks)
-            for s, x in enumerate(entries):
-                pat.extend(s, x)
-            matching = find_full_matching(build_graph(inst, pat))
-            if (matching is not None) != (entries in realisable):
-                failures.append(f"k={inst.step_count},n={inst.user_count}: {entries}")
-            elif matching is not None:
-                plan = matching_to_plan(pat, matching)
-                if encode(plan, inst.step_count) != entries or not all(
-                    u in inst.auth.step_users[s] for s, u in plan.items()
-                ):
-                    failures.append(
-                        f"k={inst.step_count}: witness broken for {entries}"
-                    )
-
-        enumerate_complete(k, visitor=check)
+        # Without prunes the solver sends every complete pattern through
+        # its leaf matching; the realisable ones come back with witnesses.
+        out = solve_enumerating(inst, prune=False)
+        if out.stats.matchings != bell_numbers(k)[-1]:
+            failures.append(f"k={k},n={n}: {out.stats.matchings} leaf matchings")
+        if set(out.patterns) != authorised_patterns(inst):
+            failures.append(f"k={k},n={n}: realisable patterns differ")
+        for pat, plan in zip(out.patterns, out.plans):
+            if encode(plan, k) != pat or not all(
+                u in inst.auth.step_users[s] for s, u in plan.items()
+            ):
+                failures.append(f"k={k}: witness broken for {pat}")
 
     elapsed = time.perf_counter() - start
     _report(

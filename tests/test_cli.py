@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import GOLDEN_TEXT
+import wspsolve
 from wspsolve import Valid, parse_instance, parse_solution, validate_plan
 from wspsolve.cli import (
     BenchRecord,
@@ -312,10 +315,15 @@ def test_summarize_detects_tampered_rows():
 
 
 def test_python_dash_m_smoke(golden_path):
+    # Run the same package the tests import, installed or not.
+    src = str(Path(wspsolve.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
         [sys.executable, "-m", "wspsolve", "solve", golden_path, "--stats"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("sat\n")

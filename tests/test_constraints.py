@@ -56,10 +56,10 @@ def test_satisfied_by_counting():
 
 def test_check_complete_counting_examples():
     scope = frozenset(range(5))
-    assert AtMost(3, scope).check_complete((1, 2, 3, 1, 1))
-    assert not AtMost(3, scope).check_complete((1, 2, 3, 4, 5))
-    assert AtLeast(3, scope).check_complete((1, 1, 2, 2, 3))
-    assert not AtLeast(3, scope).check_complete((1, 1, 1, 1, 2))
+    assert AtMost(3, scope).satisfied_by((1, 2, 3, 1, 1))
+    assert not AtMost(3, scope).satisfied_by((1, 2, 3, 4, 5))
+    assert AtLeast(3, scope).satisfied_by((1, 1, 2, 2, 3))
+    assert not AtLeast(3, scope).satisfied_by((1, 1, 1, 1, 2))
 
 
 def test_check_partial_not_equals():
@@ -90,7 +90,7 @@ def test_check_partial_at_least():
 def test_never_rejects_everything():
     c = Never(frozenset({0}), "test marker")
     assert not c.satisfied_by({0: 0, 1: 1})
-    assert not c.check_complete((1, 2))
+    assert not c.satisfied_by((1, 2))
     assert not c.check_partial((0, 0))
 
 
@@ -122,13 +122,13 @@ def test_check_partial_sound_and_exact_when_scope_full(data):
     entries = list(encode({s: x for s, x in enumerate(entries) if x}, k))
     partial_ok = c.check_partial(entries)
     completions = list(_complete_extensions(entries, k))
-    any_satisfied = any(c.check_complete(p) for p in completions)
+    any_satisfied = any(c.satisfied_by(p) for p in completions)
     if not partial_ok:
         assert not any_satisfied
     if all(entries[s] != 0 for s in c.scope):
-        assert partial_ok == any(c.check_complete(p) for p in completions)
+        assert partial_ok == any(c.satisfied_by(p) for p in completions)
         # With the scope fully assigned the verdict is already final.
-        assert partial_ok == all(c.check_complete(p) for p in completions)
+        assert partial_ok == all(c.satisfied_by(p) for p in completions)
 
 
 @given(st.data())
@@ -146,16 +146,16 @@ def test_check_partial_monotone_under_extension(data):
         if dead_seen:
             assert not ok
         dead_seen = dead_seen or not ok
-    assert c.check_partial(pat.entries) == c.check_complete(pat.entries)
+    assert c.check_partial(pat.entries) == c.satisfied_by(pat.entries)
 
 
 @given(st.data())
 def test_check_complete_agrees_with_plan_evaluation(data):
-    """Pattern-level checks agree with direct plan evaluation."""
+    """A plan and its pattern get the same satisfied_by verdict."""
     k = data.draw(st.integers(2, 5))
     c = data.draw(constraints_for(k))
     plan = {s: data.draw(st.integers(0, 4)) for s in range(k)}
-    assert c.satisfied_by(plan) == c.check_complete(encode(plan, k))
+    assert c.satisfied_by(plan) == c.satisfied_by(encode(plan, k))
 
 
 @given(st.data())
@@ -170,7 +170,7 @@ def test_satisfaction_is_user_independent(data):
 
 
 def test_check_partial_exhaustive_agreement_on_complete():
-    """On complete patterns the partial check equals the complete check."""
+    """On complete patterns the partial check equals satisfied_by."""
     scope = frozenset(range(4))
     cs = [
         AtMost(2, scope),
@@ -180,4 +180,4 @@ def test_check_partial_exhaustive_agreement_on_complete():
     ]
     for labels in itertools.product(range(1, 5), repeat=4):
         for c in cs:
-            assert c.check_partial(labels) == c.check_complete(labels)
+            assert c.check_partial(labels) == c.satisfied_by(labels)

@@ -4,33 +4,39 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import GOLDEN_PLAN, authorised_patterns, reference_max_matching
+from conftest import (
+    GOLDEN_PLAN,
+    authorised_patterns,
+    bell_numbers,
+    reference_max_matching,
+)
 from wspsolve import (
     AuthorisationLists,
     Pattern,
     Valid,
     WorkflowInstance,
-    build_graph,
     encode,
-    enumerate_complete,
-    find_full_matching,
     match_blocks,
-    matching_to_plan,
+    solve_enumerating,
     validate_plan,
 )
 
 
-def pattern_of(entries, masks=None) -> Pattern:
+def pattern_of(entries, masks) -> Pattern:
     """Materialise a canonical pattern tuple as a Pattern object."""
     pat = Pattern(len(entries), masks)
     for s, x in enumerate(entries):
         if x:
             pat.extend(s, x)
     return pat
+
+
+def block_adjacency(pat: Pattern) -> list[int]:
+    """User bitmask of each block, block 1 first."""
+    return [pat.block_user_mask(x) for x in range(1, pat.max_label + 1)]
 
 
 def mask_to_set(mask: int) -> set[int]:
@@ -42,20 +48,18 @@ def mask_to_set(mask: int) -> set[int]:
 
 def test_build_graph_golden(golden_instance):
     pat = pattern_of((1, 1, 2, 3), golden_instance.auth.step_user_masks)
-    graph = build_graph(golden_instance, pat)
-    assert graph.user_count == 5
-    assert graph.labels == (1, 2, 3)
-    assert graph.block_steps == ((0, 1), (2,), (3,))
-    assert graph.users_for(1) == {0}
-    assert graph.users_for(2) == {0, 3, 4}
-    assert graph.users_for(3) == {0, 3, 4}
+    assert pat.max_label == 3
+    assert [pat.block_steps(x) for x in (1, 2, 3)] == [(0, 1), (2,), (3,)]
+    adjacency = block_adjacency(pat)
+    assert [mask_to_set(m) for m in adjacency] == [{0}, {0, 3, 4}, {0, 3, 4}]
+    assert all(m < 1 << golden_instance.user_count for m in adjacency)
 
 
 def test_full_matching_golden(golden_instance):
     pat = pattern_of((1, 1, 2, 3), golden_instance.auth.step_user_masks)
-    matching = find_full_matching(build_graph(golden_instance, pat))
-    assert matching == {1: 0, 2: 3, 3: 4}
-    plan = matching_to_plan(pat, matching)
+    user_of = match_blocks(block_adjacency(pat), [0, 1, 2])
+    assert user_of == [0, 3, 4]
+    plan = {s: user_of[x - 1] for s, x in enumerate(pat.entries)}
     assert plan == GOLDEN_PLAN
     assert validate_plan(golden_instance, plan) == Valid()
 
@@ -64,22 +68,9 @@ def test_unmatchable_pattern_golden(golden_instance):
     # Blocks {0,3} and {1,2}: user 0 is the only one authorised for all
     # of either block, so the two blocks compete for one user.
     pat = pattern_of((1, 2, 2, 1), golden_instance.auth.step_user_masks)
-    graph = build_graph(golden_instance, pat)
-    assert graph.users_for(1) == graph.users_for(2) == {0}
-    assert find_full_matching(graph) is None
-
-
-def test_build_graph_requires_complete_pattern(golden_instance):
-    pat = pattern_of((1, 1, 0, 0), golden_instance.auth.step_user_masks)
-    with pytest.raises(ValueError):
-        build_graph(golden_instance, pat)
-
-
-def test_build_graph_with_and_without_cached_masks(golden_instance):
-    masks = golden_instance.auth.step_user_masks
-    with_cache = build_graph(golden_instance, pattern_of((1, 2, 1, 3), masks))
-    without = build_graph(golden_instance, pattern_of((1, 2, 1, 3)))
-    assert with_cache == without
+    adjacency = block_adjacency(pat)
+    assert mask_to_set(adjacency[0]) == mask_to_set(adjacency[1]) == {0}
+    assert match_blocks(adjacency, [0, 1]) is None
 
 
 # --- matcher against a reference implementation ------------------------------
@@ -93,13 +84,6 @@ def test_match_blocks_trivial_cases():
     assert match_blocks([0b1, 0b1], [0, 1]) is None
     # Augmenting path: vertex 1 evicts vertex 0 to user 1.
     assert match_blocks([0b11, 0b01], [0, 1]) == [1, 0]
-
-
-def test_matching_to_plan_requires_cover():
-    pat = pattern_of((1, 1, 2))
-    with pytest.raises(ValueError):
-        matching_to_plan(pat, {1: 0})
-    assert matching_to_plan(pat, {1: 4, 2: 2}) == {0: 4, 1: 4, 2: 2}
 
 
 def test_match_blocks_agrees_with_reference_on_random_graphs():
@@ -152,18 +136,10 @@ def test_matching_decides_realisability_exhaustively():
         k = rnd.randint(1, 4)
         n = rnd.randint(1, 6)
         inst = random_auth_instance(rnd, k, n)
-        realisable = authorised_patterns(inst)
-        masks = inst.auth.step_user_masks
-
-        def check(entries, inst=inst, realisable=realisable, masks=masks):
-            pat = pattern_of(entries, masks)
-            matching = find_full_matching(build_graph(inst, pat))
-            if matching is None:
-                assert entries not in realisable
-            else:
-                assert entries in realisable
-                plan = matching_to_plan(pat, matching)
-                assert encode(plan, inst.step_count) == entries
-                assert all(u in inst.auth.step_users[s] for s, u in plan.items())
-
-        enumerate_complete(k, visitor=check)
+        # Without prunes every complete pattern reaches the leaf matching.
+        out = solve_enumerating(inst, prune=False)
+        assert out.stats.matchings == bell_numbers(k)[-1]
+        assert set(out.patterns) == authorised_patterns(inst)
+        for entries, plan in zip(out.patterns, out.plans):
+            assert encode(plan, inst.step_count) == entries
+            assert all(u in inst.auth.step_users[s] for s, u in plan.items())

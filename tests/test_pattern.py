@@ -125,24 +125,28 @@ def test_pattern_rejects_bad_moves():
         pat.extend(1, 0)
 
 
+def mask_of(users: set[int]) -> int:
+    return sum(1 << u for u in users)
+
+
 def test_pattern_intersection_cache(golden_instance):
     masks = golden_instance.auth.step_user_masks
     pat = Pattern(4, masks)
     pat.extend(0, 1)
-    assert pat.block_users(1) == {0, 1}
+    assert pat.block_user_mask(1) == mask_of({0, 1})
     pat.extend(1, 1)
-    assert pat.block_users(1) == {0}
+    assert pat.block_user_mask(1) == mask_of({0})
     pat.extend(2, 2)
-    assert pat.block_users(2) == {0, 3, 4}
+    assert pat.block_user_mask(2) == mask_of({0, 3, 4})
     # Peek must match what extend would produce, without mutating.
     before = pat.as_tuple()
     assert pat.extension_user_mask(3, 2) == pat._inter[2] & masks[3]
     assert pat.extension_user_mask(3, 3) == masks[3]
     assert pat.as_tuple() == before
     pat.retract()  # drop step 2 again
-    assert pat.block_users(1) == {0}
+    assert pat.block_user_mask(1) == mask_of({0})
     pat.retract()  # drop step 1: block 1 recovers its wider user set
-    assert pat.block_users(1) == {0, 1}
+    assert pat.block_user_mask(1) == mask_of({0, 1})
 
 
 def test_pattern_without_masks_has_no_user_views():

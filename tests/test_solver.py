@@ -297,6 +297,10 @@ def test_deadline_interrupts_search():
     assert out.status == TIMEOUT
     assert out.plan is None
     assert out.stats.wall_time < 5
+    enum = solve_enumerating(hard_unsat_instance(14), time_limit=0.05)
+    assert enum.timed_out
+    assert enum.count == 0
+    assert enum.stats.wall_time < 5
 
 
 def test_generous_deadline_does_not_interfere(golden_instance):
