@@ -35,20 +35,8 @@ from .model import (
     validate_plan,
 )
 from .oracle import BudgetExceededError, OracleResult, oracle_solve
-from .pattern import (
-    EnumerationCounters,
-    Pattern,
-    canonicalize,
-    encode,
-    enumerate_complete,
-)
-from .solver import (
-    EnumerationOutcome,
-    HeuristicParams,
-    SearchState,
-    solve,
-    solve_enumerating,
-)
+from .pattern import Pattern, canonicalize, encode
+from .solver import EnumerationOutcome, SearchState, solve, solve_enumerating
 
 __version__ = "0.1.0"
 
@@ -58,10 +46,8 @@ __all__ = [
     "AuthorisationLists",
     "BindingOfDuty",
     "BudgetExceededError",
-    "EnumerationCounters",
     "EnumerationOutcome",
     "GeneratorConfig",
-    "HeuristicParams",
     "Never",
     "NotAuthorised",
     "NotEquals",
@@ -85,7 +71,6 @@ __all__ = [
     "canonicalize",
     "density_to_e",
     "encode",
-    "enumerate_complete",
     "format_solution",
     "generate",
     "match_blocks",

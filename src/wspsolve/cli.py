@@ -36,7 +36,7 @@ from .model import (
 )
 from .oracle import BudgetExceededError, oracle_solve
 from .pattern import encode
-from .solver import HeuristicParams, solve, solve_enumerating
+from .solver import solve, solve_enumerating
 
 EXIT_SAT = 0
 EXIT_UNSAT = 20
@@ -49,12 +49,17 @@ _DURATION_UNITS = {"ms": 0.001, "s": 1.0, "m": 60.0, "h": 3600.0}
 
 
 def parse_duration(text: str) -> float:
-    """Seconds from '90', '500ms', '30s', '5m' or '1h'."""
+    """Seconds from '90', '500ms', '30s', '5m' or '1h'; never NaN or negative."""
     text = text.strip()
+    number, scale = text, 1.0
     for unit in ("ms", "s", "m", "h"):
         if text.endswith(unit):
-            return float(text[: -len(unit)]) * _DURATION_UNITS[unit]
-    return float(text)
+            number, scale = text[: -len(unit)], _DURATION_UNITS[unit]
+            break
+    seconds = float(number) * scale
+    if math.isnan(seconds) or seconds < 0:
+        raise ValueError(f"duration {text!r} is not a non-negative number")
+    return seconds
 
 
 def _round_half_up(x: float) -> int:
@@ -181,15 +186,11 @@ def instance_id(config: GeneratorConfig, density: float) -> str:
 
 
 def _bench_one(args: tuple) -> BenchRecord:
-    k, e, c, seed, density, time_limit, alpha, beta, gamma = args
+    k, e, c, seed, density, time_limit = args
     config = GeneratorConfig(k, e, c, seed)
     instance = generate(config)
     pre = preprocess(instance)
-    outcome = solve(
-        pre.instance,
-        HeuristicParams(alpha, beta, gamma),
-        time_limit=time_limit,
-    )
+    outcome = solve(pre.instance, time_limit=time_limit)
     st = outcome.stats
     return BenchRecord(
         kind="instance",
@@ -206,23 +207,15 @@ def _bench_one(args: tuple) -> BenchRecord:
     )
 
 
-def run_bench(
-    suite: SuiteSpec,
-    time_limit: float,
-    jobs: int = 1,
-    params: HeuristicParams | None = None,
-) -> list[BenchRecord]:
+def run_bench(suite: SuiteSpec, time_limit: float, jobs: int = 1) -> list[BenchRecord]:
     """Generate and solve the suite; returns instance, set and rate rows."""
-    params = params or HeuristicParams()
     tasks = []
     for k in suite.step_counts:
         e = density_to_e(k, suite.density)
         for seed in suite.seeds:
             for mult in suite.c_multipliers:
                 c = _round_half_up(mult * k)
-                tasks.append(
-                    (k, e, c, seed, suite.density, time_limit, params.alpha, params.beta, params.gamma)
-                )
+                tasks.append((k, e, c, seed, suite.density, time_limit))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_bench_one, tasks))
@@ -314,10 +307,6 @@ def summarize_bench(records: Sequence[BenchRecord]) -> str:
 # --- subcommands ------------------------------------------------------------
 
 
-def _heuristic_params(args) -> HeuristicParams:
-    return HeuristicParams(args.alpha, args.beta, args.gamma)
-
-
 def _read_instance(path: str) -> WorkflowInstance:
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
     return parse_instance(text)
@@ -341,7 +330,7 @@ def cmd_solve(args) -> int:
     instance = _read_instance(args.instance)
     pre = preprocess(instance)
     limit = None if args.time_limit is None else parse_duration(args.time_limit)
-    outcome = solve(pre.instance, _heuristic_params(args), time_limit=limit)
+    outcome = solve(pre.instance, time_limit=limit)
     plan = pre.expand_plan(outcome.plan) if outcome.plan is not None else None
     text = format_solution(outcome.status, plan)
     if args.out:
@@ -385,7 +374,7 @@ def cmd_enumerate(args) -> int:
     instance = _read_instance(args.instance)
     pre = preprocess(instance)
     limit = None if args.time_limit is None else parse_duration(args.time_limit)
-    result = solve_enumerating(pre.instance, _heuristic_params(args), time_limit=limit)
+    result = solve_enumerating(pre.instance, time_limit=limit)
     if result.timed_out:
         print("timeout")
         return EXIT_TIMEOUT
@@ -422,10 +411,7 @@ def cmd_bench(args) -> int:
         raise ValueError("bench needs --suite (or --summarize FILE)")
     suite = parse_suite(args.suite)
     records = run_bench(
-        suite,
-        time_limit=parse_duration(args.time_limit),
-        jobs=args.jobs,
-        params=_heuristic_params(args),
+        suite, time_limit=parse_duration(args.time_limit), jobs=args.jobs
     )
     if args.out:
         with open(args.out, "w", newline="") as f:
@@ -434,12 +420,6 @@ def cmd_bench(args) -> int:
         write_bench_csv(records, sys.stdout)
     print(summarize_bench(records), file=sys.stderr)
     return 0
-
-
-def _add_heuristic_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=100.0, help="weight of saturated at-most scopes")
-    p.add_argument("--beta", type=float, default=2.0, help="weight of at-most scopes one user short")
-    p.add_argument("--gamma", type=float, default=1.0, help="weight of at-most scopes two users short")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -454,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-limit", help="e.g. 60s, 500ms, 1h")
     p.add_argument("--out", help="write the solution here instead of stdout")
     p.add_argument("--stats", action="store_true", help="key=value counters on stderr")
-    _add_heuristic_args(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("generate", help="generate random instances")
@@ -473,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--time-limit")
     p.add_argument("--stats", action="store_true")
-    _add_heuristic_args(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("oracle", help="exhaustive ground-truth check (small instances)")
@@ -488,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="solve this many instances in parallel")
     p.add_argument("--out", help="CSV path (default stdout)")
     p.add_argument("--summarize", metavar="FILE", help="summarise an existing CSV and exit")
-    _add_heuristic_args(p)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -38,20 +38,19 @@ from .model import (
 from .pattern import Pattern, canonicalize
 
 
-@dataclass(frozen=True)
-class HeuristicParams:
-    """Weights for the step-selection score.
+#: Step-selection weights of an at-most constraint, indexed by its gap:
+#: the budget minus the distinct labels its scope already uses.  A step
+#: scores the number of not-equals constraints touching it, plus 100 for
+#: each at-most constraint whose scope already uses its full budget of
+#: distinct users, 2 for each one user short of the budget, and 1 for
+#: each two short.  At-least constraints contribute nothing.
+AT_MOST_WEIGHTS = (100.0, 2.0, 1.0)
 
-    A step scores the number of not-equals constraints touching it,
-    plus ``alpha`` for each at-most constraint whose scope already uses
-    its full budget of distinct users, ``beta`` for each one user short
-    of the budget, and ``gamma`` for each two short.  At-least
-    constraints contribute nothing.
-    """
 
-    alpha: float = 100.0
-    beta: float = 2.0
-    gamma: float = 1.0
+def _weight(gap: int) -> float:
+    if 0 <= gap <= 2:
+        return AT_MOST_WEIGHTS[gap]
+    return 0.0
 
 
 #: The deadline is consulted once every this many search nodes.
@@ -74,20 +73,13 @@ class SearchState:
     step is a single scan.
     """
 
-    def __init__(
-        self,
-        instance: WorkflowInstance,
-        params: HeuristicParams | None = None,
-        *,
-        prune: bool = True,
-    ):
+    def __init__(self, instance: WorkflowInstance, *, prune: bool = True):
         for c in instance.constraints:
             if isinstance(c, BindingOfDuty):
                 raise ValueError(
                     "instance still has binding-of-duty constraints; preprocess first"
                 )
         self.instance = instance
-        self.params = params or HeuristicParams()
         self.prune = prune
         k = instance.step_count
         self.step_count = k
@@ -133,22 +125,14 @@ class SearchState:
         self.by_step = [tuple(x) for x in by_step]
         self.gen_by_step = [tuple(x) for x in gen_by_step]
 
-        p = self.params
-        self._weights = (p.alpha, p.beta, p.gamma)
         self.w_sum = [0.0] * k
         for ci, is_atmost in enumerate(self.ct_is_atmost):
             if is_atmost:
-                w = self._weight(self.ct_r[ci])
+                w = _weight(self.ct_r[ci])
                 if w:
                     for s in self.ct_scope[ci]:
                         self.w_sum[s] += w
         self._trail: list[tuple[int, int, tuple[int, ...]]] = []
-
-    def _weight(self, gap: int) -> float:
-        # gap = budget minus distinct labels already used in the scope.
-        if 0 <= gap <= 2:
-            return self._weights[gap]
-        return 0.0
 
     # -- heuristic ----------------------------------------------------------
 
@@ -192,7 +176,7 @@ class SearchState:
                 changed.append(ci)
                 if self.ct_is_atmost[ci]:
                     gap = self.ct_r[ci] - d
-                    delta = self._weight(gap - 1) - self._weight(gap)
+                    delta = _weight(gap - 1) - _weight(gap)
                     if delta:
                         w_sum = self.w_sum
                         for q in self.ct_scope[ci]:
@@ -212,7 +196,7 @@ class SearchState:
             distinct[ci] = d - 1
             if self.ct_is_atmost[ci]:
                 gap = self.ct_r[ci] - d
-                delta = self._weight(gap + 1) - self._weight(gap)
+                delta = _weight(gap + 1) - _weight(gap)
                 if delta:
                     w_sum = self.w_sum
                     for q in self.ct_scope[ci]:
@@ -277,13 +261,12 @@ def _run_search(
             if not prune:
                 for c in instance.constraints:
                     if not c.satisfied_by(entries):
-                        stats.eligibility_prunes += 1
                         return False
             stats.matchings += 1
             m = pattern.max_label
-            adjacency = pattern._inter[1 : m + 1]
-            blocks = pattern._blocks
-            order = sorted(range(m), key=lambda i: (-len(blocks[i + 1]), i))
+            adjacency = pattern.block_masks[1 : m + 1]
+            sizes = pattern.block_sizes
+            order = sorted(range(m), key=lambda i: (-sizes[i + 1], i))
             user_of = match_blocks(adjacency, order)
             if user_of is None:
                 return False
@@ -321,14 +304,15 @@ def _root_unsat(state: SearchState) -> bool:
 
 def _drive(
     instance: WorkflowInstance,
-    params: HeuristicParams | None,
     time_limit: float | None,
     prune: bool,
     emit: Callable[[tuple[int, ...], Plan], bool],
 ) -> tuple[SearchStats, bool]:
     """Run one timed search; returns its stats and whether it timed out."""
+    if time_limit is not None and math.isnan(time_limit):
+        raise ValueError("time limit is NaN")
     start = time.perf_counter()
-    state = SearchState(instance, params, prune=prune)
+    state = SearchState(instance, prune=prune)
     timed_out = time_limit is not None and time_limit <= 0
     if not timed_out and not (prune and _root_unsat(state)):
         deadline = None if time_limit is None else start + time_limit
@@ -342,7 +326,6 @@ def _drive(
 
 def solve(
     instance: WorkflowInstance,
-    params: HeuristicParams | None = None,
     time_limit: float | None = None,
     *,
     prune: bool = True,
@@ -350,8 +333,9 @@ def solve(
     """Decide satisfiability; Sat outcomes carry a witness plan.
 
     ``time_limit`` is wall-clock seconds; on expiry the outcome status
-    is timeout.  ``prune=False`` disables the authorisation and
-    eligibility prunes and the root checks: every complete pattern is
+    is timeout, and a limit of zero or less times out at once.  A NaN
+    limit raises ValueError.  ``prune=False`` disables the authorisation
+    and eligibility prunes and the root checks: every complete pattern is
     then reached, and each constraint's ``satisfied_by`` decides it
     before the matching runs.  This never changes the verdict.  The
     instance must already be preprocessed, i.e. free of binding-of-duty
@@ -363,7 +347,7 @@ def solve(
         found.append(plan)
         return True
 
-    stats, timed_out = _drive(instance, params, time_limit, prune, emit)
+    stats, timed_out = _drive(instance, time_limit, prune, emit)
     status = TIMEOUT if timed_out else SAT if found else UNSAT
     return SolveOutcome(status, found[0] if found else None, stats)
 
@@ -384,7 +368,6 @@ class EnumerationOutcome:
 
 def solve_enumerating(
     instance: WorkflowInstance,
-    params: HeuristicParams | None = None,
     time_limit: float | None = None,
     *,
     prune: bool = True,
@@ -402,5 +385,5 @@ def solve_enumerating(
         plans.append(plan)
         return False
 
-    stats, timed_out = _drive(instance, params, time_limit, prune, emit)
+    stats, timed_out = _drive(instance, time_limit, prune, emit)
     return EnumerationOutcome(tuple(patterns), tuple(plans), stats, timed_out)

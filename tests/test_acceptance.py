@@ -22,13 +22,11 @@ from wspsolve import (
     SAT,
     TIMEOUT,
     AuthorisationLists,
-    EnumerationCounters,
     GeneratorConfig,
     Valid,
     WorkflowInstance,
     density_to_e,
     encode,
-    enumerate_complete,
     generate,
     match_blocks,
     oracle_solve,
@@ -171,12 +169,20 @@ def test_criterion_3_enumeration_counts_are_bell_numbers():
     bells = bell_numbers(8)
     failures = []
     for k in range(1, 9):
-        counters = EnumerationCounters()
-        count = enumerate_complete(k, counters=counters)
-        if count != bells[k - 1]:
-            failures.append(f"k={k}: {count} != {bells[k - 1]}")
-        if counters.nodes > 2 * bells[k - 1]:
-            failures.append(f"k={k}: {counters.nodes} nodes > 2*B_k")
+        # k steps that k users may all perform, and no constraint: every
+        # complete pattern is realisable, so without prunes the search
+        # walks the whole pattern space and matches every leaf.
+        everyone = [frozenset(range(k))] * k
+        inst = WorkflowInstance(
+            k, k, AuthorisationLists.from_step_users(k, everyone), ()
+        )
+        out = solve_enumerating(inst, prune=False)
+        if out.count != bells[k - 1]:
+            failures.append(f"k={k}: {out.count} != {bells[k - 1]}")
+        if out.stats.nodes > 2 * bells[k - 1]:
+            failures.append(f"k={k}: {out.stats.nodes} nodes > 2*B_k")
+        if out.stats.matchings != bells[k - 1]:
+            failures.append(f"k={k}: {out.stats.matchings} leaf matchings")
     elapsed = time.perf_counter() - start
     _report(
         3,

@@ -48,8 +48,10 @@ def test_parse_duration():
     assert parse_duration(" 30s ") == 30.0
     assert parse_duration("5m") == 300.0
     assert parse_duration("1h") == 3600.0
-    with pytest.raises(ValueError):
-        parse_duration("fast")
+    assert parse_duration("0ms") == 0.0
+    for bad in ("fast", "nan", "nanms", "-5s", "-1"):
+        with pytest.raises(ValueError):
+            parse_duration(bad)
 
 
 def test_parse_suite():
@@ -130,6 +132,13 @@ def test_solve_unsat_exit_code(tmp_path, capsys):
 def test_solve_timeout_exit_code(golden_path, capsys):
     assert run_cli("solve", golden_path, "--time-limit", "0ms") == 21
     assert capsys.readouterr().out == "timeout\n"
+
+
+def test_solve_rejects_nan_time_limit(golden_path, capsys):
+    assert run_cli("solve", golden_path, "--time-limit", "nan") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_solve_parse_error(tmp_path, capsys):

@@ -136,7 +136,7 @@ def test_check_partial_monotone_under_extension(data):
     """Once dead, a pattern stays dead along any chain of extensions."""
     k = data.draw(st.integers(2, 5))
     c = data.draw(constraints_for(k))
-    pat = Pattern(k)
+    pat = Pattern(k, [1] * k)
     dead_seen = False
     order = data.draw(st.permutations(range(k)))
     for s in order:

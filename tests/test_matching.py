@@ -36,7 +36,7 @@ def pattern_of(entries, masks) -> Pattern:
 
 def block_adjacency(pat: Pattern) -> list[int]:
     """User bitmask of each block, block 1 first."""
-    return [pat.block_user_mask(x) for x in range(1, pat.max_label + 1)]
+    return pat.block_masks[1 : pat.max_label + 1]
 
 
 def mask_to_set(mask: int) -> set[int]:
@@ -49,7 +49,8 @@ def mask_to_set(mask: int) -> set[int]:
 def test_build_graph_golden(golden_instance):
     pat = pattern_of((1, 1, 2, 3), golden_instance.auth.step_user_masks)
     assert pat.max_label == 3
-    assert [pat.block_steps(x) for x in (1, 2, 3)] == [(0, 1), (2,), (3,)]
+    assert pat.entries == [1, 1, 2, 3]
+    assert pat.block_sizes[1:4] == [2, 1, 1]
     adjacency = block_adjacency(pat)
     assert [mask_to_set(m) for m in adjacency] == [{0}, {0, 3, 4}, {0, 3, 4}]
     assert all(m < 1 << golden_instance.user_count for m in adjacency)

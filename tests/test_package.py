@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
+import re
+from pathlib import Path
+
 import wspsolve
+from wspsolve.cli import build_parser
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_all_names_resolve_and_are_sorted():
@@ -10,3 +17,36 @@ def test_all_names_resolve_and_are_sorted():
     assert len(set(wspsolve.__all__)) == len(wspsolve.__all__)
     for name in wspsolve.__all__:
         assert hasattr(wspsolve, name), name
+
+
+def test_readme_cli_flags_exist():
+    """Every --flag in the README's CLI section is an option of the
+    subcommand it is documented under: the one a ``wspsolve SUB`` usage
+    line or a ``- `SUB` ...`` bullet names.  A flag in other prose there
+    must be an option of some subcommand."""
+    parser = build_parser()
+    (subparsers,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    options = {
+        name: set(sub._option_string_actions)
+        for name, sub in subparsers.choices.items()
+    }
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    checked = 0
+    owner = None
+    for line in section.splitlines():
+        usage = re.match(r"wspsolve (\w+)", line)
+        bullet = re.match(r"- `(\w+)`", line)
+        if usage or bullet:
+            owner = (usage or bullet).group(1)
+            assert owner in options, owner
+        elif not line.startswith(" ") or not line.strip():
+            owner = None  # neither a continuation line nor a bullet's
+        for flag in re.findall(r"--[a-z][a-z-]*", line):
+            checked += 1
+            if owner is None:
+                assert any(flag in opts for opts in options.values()), flag
+            else:
+                assert flag in options[owner], (owner, flag)
+    assert checked

@@ -1,4 +1,4 @@
-"""Pattern encoding, the mutable search pattern, and exhaustive enumeration."""
+"""Pattern encoding and the mutable search pattern."""
 
 from __future__ import annotations
 
@@ -8,14 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import bell_numbers
-from wspsolve import (
-    EnumerationCounters,
-    Pattern,
-    canonicalize,
-    encode,
-    enumerate_complete,
-)
+from wspsolve import Pattern, canonicalize, encode
 
 
 # --- encode / canonicalize --------------------------------------------------
@@ -90,22 +83,23 @@ def test_encode_groups_plans_by_sharing_structure():
 
 
 def test_pattern_extend_retract_lifecycle():
-    pat = Pattern(4)
-    assert not pat.is_complete
+    pat = Pattern(4, [1] * 4)
+    assert pat.assigned_count == 0
     pat.extend(2, 1)
     pat.extend(0, 2)
     pat.extend(1, 2)
-    assert pat.as_tuple() == (2, 2, 1, 0)
+    assert pat.entries == [2, 2, 1, 0]
     assert pat.max_label == 2
-    assert pat.block_steps(2) == (0, 1)
+    assert pat.block_sizes[1:3] == [1, 2]
     pat.extend(3, 3)
-    assert pat.is_complete
+    assert pat.assigned_count == pat.step_count
     pat.retract()
     pat.retract()
-    assert pat.as_tuple() == (2, 0, 1, 0)
+    assert pat.entries == [2, 0, 1, 0]
     assert pat.max_label == 2
+    assert pat.block_sizes[1:4] == [1, 1, 0]
     pat.retract()
-    assert pat.as_tuple() == (0, 0, 1, 0)
+    assert pat.entries == [0, 0, 1, 0]
     assert pat.max_label == 1
     pat.retract()
     with pytest.raises(ValueError):
@@ -114,8 +108,8 @@ def test_pattern_extend_retract_lifecycle():
 
 def test_pattern_rejects_bad_moves():
     with pytest.raises(ValueError):
-        Pattern(0)
-    pat = Pattern(3)
+        Pattern(0, [])
+    pat = Pattern(3, [1] * 3)
     pat.extend(0, 1)
     with pytest.raises(ValueError):
         pat.extend(0, 1)  # already assigned
@@ -133,29 +127,20 @@ def test_pattern_intersection_cache(golden_instance):
     masks = golden_instance.auth.step_user_masks
     pat = Pattern(4, masks)
     pat.extend(0, 1)
-    assert pat.block_user_mask(1) == mask_of({0, 1})
+    assert pat.block_masks[1] == mask_of({0, 1})
     pat.extend(1, 1)
-    assert pat.block_user_mask(1) == mask_of({0})
+    assert pat.block_masks[1] == mask_of({0})
     pat.extend(2, 2)
-    assert pat.block_user_mask(2) == mask_of({0, 3, 4})
+    assert pat.block_masks[2] == mask_of({0, 3, 4})
     # Peek must match what extend would produce, without mutating.
-    before = pat.as_tuple()
-    assert pat.extension_user_mask(3, 2) == pat._inter[2] & masks[3]
+    before = list(pat.entries)
+    assert pat.extension_user_mask(3, 2) == pat.block_masks[2] & masks[3]
     assert pat.extension_user_mask(3, 3) == masks[3]
-    assert pat.as_tuple() == before
+    assert pat.entries == before
     pat.retract()  # drop step 2 again
-    assert pat.block_user_mask(1) == mask_of({0})
+    assert pat.block_masks[1] == mask_of({0})
     pat.retract()  # drop step 1: block 1 recovers its wider user set
-    assert pat.block_user_mask(1) == mask_of({0, 1})
-
-
-def test_pattern_without_masks_has_no_user_views():
-    pat = Pattern(2)
-    pat.extend(0, 1)
-    with pytest.raises(ValueError):
-        pat.block_user_mask(1)
-    with pytest.raises(ValueError):
-        pat.extension_user_mask(1, 1)
+    assert pat.block_masks[1] == mask_of({0, 1})
 
 
 @given(st.data())
@@ -181,60 +166,15 @@ def test_pattern_tracks_encode_under_random_walks(data):
             history.append(step)
         else:
             continue
-        assert pat.as_tuple() == canonicalize(
+        assert tuple(pat.entries) == canonicalize(
             [plan.get(s, 0) for s in range(k)], order=history
         )
         assert pat.assigned_count == len(plan)
         for lab in range(1, pat.max_label + 1):
-            members = pat.block_steps(lab)
+            members = [s for s in range(k) if pat.entries[s] == lab]
+            assert pat.block_sizes[lab] == len(members)
             expect = masks[members[0]]
             for s in members[1:]:
                 expect &= masks[s]
-            assert pat.block_user_mask(lab) == expect
+            assert pat.block_masks[lab] == expect
 
-
-# --- enumeration ------------------------------------------------------------
-
-
-def test_enumerate_complete_counts_match_bell_numbers():
-    bells = bell_numbers(8)
-    for k in range(1, 9):
-        assert enumerate_complete(k) == bells[k - 1]
-
-
-def test_enumerate_complete_node_bound():
-    bells = bell_numbers(8)
-    for k in range(1, 9):
-        counters = EnumerationCounters()
-        enumerate_complete(k, counters=counters)
-        assert counters.complete == bells[k - 1]
-        assert counters.nodes <= 2 * bells[k - 1]
-
-
-def test_enumerate_complete_visits_each_partition_once():
-    seen: list[tuple[int, ...]] = []
-    enumerate_complete(4, visitor=seen.append)
-    assert len(seen) == len(set(seen)) == 15
-    for entries in seen:
-        # Canonical: first step is block 1, labels never jump.
-        assert entries[0] == 1
-        assert all(
-            entries[s] <= max(entries[:s]) + 1 for s in range(1, len(entries))
-        )
-        assert canonicalize(entries) == entries
-
-
-def test_enumerate_complete_matches_plan_classes():
-    """Enumerated patterns are exactly the encodings of all k-user plans."""
-    k = 5
-    seen: set[tuple[int, ...]] = set()
-    enumerate_complete(k, visitor=seen.add)
-    from_plans = {
-        encode(dict(enumerate(combo)), k)
-        for combo in itertools.product(range(k), repeat=k)
-    }
-    assert seen == from_plans
-
-
-def test_enumerate_complete_larger_count_stays_exact():
-    assert enumerate_complete(10) == bell_numbers(10)[-1] == 115975

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bell_numbers, instances
@@ -15,12 +17,12 @@ from wspsolve import (
     AtMost,
     AuthorisationLists,
     GeneratorConfig,
-    HeuristicParams,
     Never,
     NotEquals,
     SearchState,
     Valid,
     WorkflowInstance,
+    canonicalize,
     encode,
     generate,
     oracle_solve,
@@ -116,14 +118,6 @@ def test_at_least_contributes_no_selection_pressure():
     assert all(state.rho(s) == 0 for s in range(2, 5))
 
 
-def test_heuristic_params_rescale_scores():
-    inst = full_auth(4, 4, [AtMost(1, frozenset({0, 1, 2}))])
-    state = SearchState(inst, HeuristicParams(alpha=7.0, beta=0.5, gamma=0.25))
-    assert state.rho(0) == 0.5  # gap of one before any assignment (r=1)
-    state.extend(0, 1)
-    assert state.rho(1) == 7.0
-
-
 def test_select_step_requires_unassigned():
     state = SearchState(full_auth(2, 2))
     state.extend(0, 1)
@@ -167,7 +161,7 @@ def test_search_state_counters_survive_retract(inst, data):
             list(state.ct_distinct),
             list(state.ct_assigned),
             list(state.w_sum),
-            state.pattern.as_tuple(),
+            list(state.pattern.entries),
         )
 
     baseline = snapshot()
@@ -233,28 +227,41 @@ def test_enumeration_finds_exactly_the_oracle_patterns(inst):
         assert validate_plan(inst, plan) == Valid()
 
 
-def test_unconstrained_enumeration_reaches_every_partition():
-    k = 4
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 10])
+def test_unconstrained_enumeration_reaches_every_partition(k):
     out = solve_enumerating(full_auth(k, k))
-    assert out.count == bell_numbers(k)[-1] == 15
+    assert out.count == bell_numbers(k)[-1]
     assert out.stats.nodes <= 2 * out.count
     assert out.stats.matchings == out.count
+    assert len(set(out.patterns)) == out.count
+    # Complete and canonical: first step is block 1, labels never jump.
+    assert all(0 not in p and canonicalize(p) == p for p in out.patterns)
+    if k == 5:
+        # Exactly the encodings of all k-user plans.
+        from_plans = {
+            encode(dict(enumerate(combo)), k)
+            for combo in itertools.product(range(k), repeat=k)
+        }
+        assert set(out.patterns) == from_plans
 
 
 # --- pruning is verdict-preserving -------------------------------------------
 
 
 @given(instances(max_steps=5, max_users=6, allow_bod=False))
+@example(full_auth(3, 3, [NotEquals(0, 1)]))
 @settings(max_examples=60)
 def test_disabling_prunes_changes_nothing_but_work(inst):
     gated = solve(inst)
     ungated = solve(inst, prune=False)
     assert gated.status == ungated.status
     assert ungated.stats.nodes >= gated.stats.nodes
+    assert ungated.stats.prunes == 0
     if gated.is_sat:
         assert validate_plan(inst, ungated.plan) == Valid()
     both = solve_enumerating(inst), solve_enumerating(inst, prune=False)
     assert set(both[0].patterns) == set(both[1].patterns)
+    assert both[1].stats.prunes == 0
 
 
 # --- determinism -------------------------------------------------------------
@@ -290,6 +297,13 @@ def test_zero_time_limit_times_out_immediately():
     assert out.stats.nodes == 0
     enum = solve_enumerating(full_auth(3, 3), time_limit=0)
     assert enum.timed_out and enum.count == 0
+
+
+def test_nan_time_limit_is_rejected():
+    with pytest.raises(ValueError):
+        solve(full_auth(3, 3), time_limit=float("nan"))
+    with pytest.raises(ValueError):
+        solve_enumerating(full_auth(3, 3), time_limit=float("nan"))
 
 
 def test_deadline_interrupts_search():
