@@ -19,6 +19,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -185,20 +186,17 @@ def instance_id(config: GeneratorConfig, density: float) -> str:
     return f"k{config.step_count}-d{density:g}-c{config.counting}-s{config.seed}"
 
 
-def _bench_one(args: tuple) -> BenchRecord:
-    k, e, c, seed, density, time_limit = args
-    config = GeneratorConfig(k, e, c, seed)
-    instance = generate(config)
-    pre = preprocess(instance)
+def _bench_one(config: GeneratorConfig, density: float, time_limit: float) -> BenchRecord:
+    pre = preprocess(generate(config))
     outcome = solve(pre.instance, time_limit=time_limit)
     st = outcome.stats
     return BenchRecord(
         kind="instance",
         id=instance_id(config, density),
-        k=k,
-        e=e,
-        c=c,
-        seed=seed,
+        k=config.step_count,
+        e=config.not_equals,
+        c=config.counting,
+        seed=config.seed,
         verdict=outcome.status,
         wall_ms=int(st.wall_time * 1000),
         nodes=st.nodes,
@@ -209,18 +207,12 @@ def _bench_one(args: tuple) -> BenchRecord:
 
 def run_bench(suite: SuiteSpec, time_limit: float, jobs: int = 1) -> list[BenchRecord]:
     """Generate and solve the suite; returns instance, set and rate rows."""
-    tasks = []
-    for k in suite.step_counts:
-        e = density_to_e(k, suite.density)
-        for seed in suite.seeds:
-            for mult in suite.c_multipliers:
-                c = _round_half_up(mult * k)
-                tasks.append((k, e, c, seed, suite.density, time_limit))
+    task = partial(_bench_one, density=suite.density, time_limit=time_limit)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_bench_one, tasks))
+            records = list(pool.map(task, suite.configs()))
     else:
-        records = [_bench_one(t) for t in tasks]
+        records = list(map(task, suite.configs()))
 
     out = list(records)
     rate_by_k: dict[int, list[bool]] = {}
@@ -376,18 +368,20 @@ def cmd_enumerate(args) -> int:
     limit = None if args.time_limit is None else parse_duration(args.time_limit)
     result = solve_enumerating(pre.instance, time_limit=limit)
     if result.timed_out:
+        status = TIMEOUT
         print("timeout")
-        return EXIT_TIMEOUT
-    print(f"patterns {result.count}")
-    for plan in result.plans:
-        expanded = pre.expand_plan(plan)
-        pat = encode(expanded, instance.step_count)
-        print("pattern " + " ".join(str(x) for x in pat))
-        for s in sorted(expanded):
-            print(f"assign {s} {expanded[s]}")
+    else:
+        status = SAT if result.count else UNSAT
+        print(f"patterns {result.count}")
+        for plan in result.plans:
+            expanded = pre.expand_plan(plan)
+            pat = encode(expanded, instance.step_count)
+            print("pattern " + " ".join(str(x) for x in pat))
+            for s in sorted(expanded):
+                print(f"assign {s} {expanded[s]}")
     if args.stats:
-        _emit_stats(result.stats, SAT if result.count else UNSAT)
-    return EXIT_SAT if result.count else EXIT_UNSAT
+        _emit_stats(result.stats, status)
+    return _STATUS_EXIT[status]
 
 
 def cmd_oracle(args) -> int:

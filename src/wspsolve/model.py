@@ -20,7 +20,8 @@ line per step, or a single ``unsat`` / ``timeout`` line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .constraints import (
@@ -39,66 +40,69 @@ UserId = int
 Plan = dict[StepId, UserId]
 
 
-def _mask_of(users: Iterable[int]) -> int:
-    m = 0
-    for u in users:
-        m |= 1 << u
-    return m
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 @dataclass(frozen=True)
 class AuthorisationLists:
-    """Authorisation relation kept in both directions.
+    """Authorisation relation: one bitmask over users per step.
 
-    ``user_steps[u]`` is the set of steps user u may perform and
-    ``step_users[s]`` the set of users that may perform step s; the two
-    are views of the same relation and stay consistent by construction.
-    ``step_user_masks[s]`` is ``step_users[s]`` as a bitmask over users,
-    the representation the search and the matcher operate on.
+    Bit u of ``step_user_masks[s]`` is set when user u may perform step
+    s.  The masks are the relation; the search, the matcher, plan
+    validation and preprocessing all read them.  ``step_users`` and
+    ``user_steps`` are set views computed from the masks on every
+    access, so a caller in a loop should read them once.
     """
 
-    user_steps: tuple[frozenset[StepId], ...]
-    step_users: tuple[frozenset[UserId], ...]
-    step_user_masks: tuple[int, ...] = field(repr=False, compare=False, default=())
+    user_count: int
+    step_user_masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for s, users in enumerate(self.step_users):
-            for u in users:
-                if s not in self.user_steps[u]:
-                    raise ValueError("authorisation views disagree")
-        total = sum(len(x) for x in self.user_steps)
-        if total != sum(len(x) for x in self.step_users):
-            raise ValueError("authorisation views disagree")
-        if not self.step_user_masks:
-            object.__setattr__(
-                self, "step_user_masks", tuple(_mask_of(us) for us in self.step_users)
-            )
+        n = self.user_count
+        for mask in self.step_user_masks:
+            if not (isinstance(mask, int) and mask >= 0 and mask.bit_length() <= n):
+                raise ValueError(f"{mask!r} is not a mask over {n} users")
+
+    @property
+    def step_users(self) -> tuple[frozenset[UserId], ...]:
+        return tuple(frozenset(_bits(m)) for m in self.step_user_masks)
+
+    @property
+    def user_steps(self) -> tuple[frozenset[StepId], ...]:
+        steps_of: list[list[StepId]] = [[] for _ in range(self.user_count)]
+        for s, mask in enumerate(self.step_user_masks):
+            for u in _bits(mask):
+                steps_of[u].append(s)
+        return tuple(map(frozenset, steps_of))
 
     @classmethod
     def from_user_steps(
         cls, step_count: int, user_steps: Iterable[Iterable[StepId]]
     ) -> "AuthorisationLists":
-        by_user = tuple(frozenset(steps) for steps in user_steps)
-        users_of: list[set[UserId]] = [set() for _ in range(step_count)]
+        by_user = list(user_steps)
+        users_of: list[list[UserId]] = [[] for _ in range(step_count)]
         for u, steps in enumerate(by_user):
             for s in steps:
                 if not 0 <= s < step_count:
                     raise ValueError(f"step index {s} out of range")
-                users_of[s].add(u)
-        return cls(by_user, tuple(frozenset(x) for x in users_of))
+                users_of[s].append(u)
+        return cls.from_step_users(len(by_user), users_of)
 
     @classmethod
     def from_step_users(
         cls, user_count: int, step_users: Iterable[Iterable[UserId]]
     ) -> "AuthorisationLists":
-        by_step = tuple(frozenset(users) for users in step_users)
-        steps_of: list[set[StepId]] = [set() for _ in range(user_count)]
-        for s, users in enumerate(by_step):
+        masks = []
+        for users in step_users:
+            mask = 0
             for u in users:
                 if not 0 <= u < user_count:
                     raise ValueError(f"user index {u} out of range")
-                steps_of[u].add(s)
-        return cls(tuple(frozenset(x) for x in steps_of), by_step)
+                mask |= 1 << u
+            masks.append(mask)
+        return cls(user_count, tuple(masks))
 
 
 @dataclass(frozen=True)
@@ -111,9 +115,9 @@ class WorkflowInstance:
     def __post_init__(self) -> None:
         if self.step_count < 1 or self.user_count < 1:
             raise ValueError("need at least one step and one user")
-        if len(self.auth.user_steps) != self.user_count:
+        if self.auth.user_count != self.user_count:
             raise ValueError("authorisation lists disagree with user count")
-        if len(self.auth.step_users) != self.step_count:
+        if len(self.auth.step_user_masks) != self.step_count:
             raise ValueError("authorisation lists disagree with step count")
         for c in self.constraints:
             for s in c.scope:
@@ -150,14 +154,14 @@ def validate_plan(instance: WorkflowInstance, plan: Mapping[StepId, UserId]) -> 
     """
     if len(plan) != instance.step_count:
         raise ValueError("plan is incomplete")
-    step_users = instance.auth.step_users
+    masks = instance.auth.step_user_masks
     for s in range(instance.step_count):
         u = plan.get(s)
         if u is None:
             raise ValueError("plan is incomplete")
         if not 0 <= u < instance.user_count:
             raise ValueError(f"user index {u} out of range")
-        if u not in step_users[s]:
+        if not masks[s] >> u & 1:
             return NotAuthorised(s)
     for c in instance.constraints:
         if not c.satisfied_by(plan):
@@ -221,7 +225,8 @@ def _parse_int(tok: str, line_no: int, what: str) -> int:
 def parse_instance(text: str) -> WorkflowInstance:
     """Parse the instance file format; raises ParseError with a line number."""
     step_count = user_count = -1
-    auth_lines: dict[int, frozenset[int]] = {}
+    seen_users: set[int] = set()
+    users_of: defaultdict[int, list[int]] = defaultdict(list)
     constraints: list[UserIndependentConstraint] = []
 
     def check_step(value: int, line_no: int) -> int:
@@ -253,12 +258,11 @@ def parse_instance(text: str) -> WorkflowInstance:
             u = _parse_int(args[0], line_no, "user index")
             if not 0 <= u < user_count:
                 raise ParseError(line_no, f"user index {u} out of range 0..{user_count - 1}")
-            if u in auth_lines:
+            if u in seen_users:
                 raise ParseError(line_no, f"duplicate auth line for user {u}")
-            steps = frozenset(
-                check_step(_parse_int(t, line_no, "step index"), line_no) for t in args[1:]
-            )
-            auth_lines[u] = steps
+            seen_users.add(u)
+            for t in args[1:]:
+                users_of[check_step(_parse_int(t, line_no, "step index"), line_no)].append(u)
         elif tag in ("ne", "bd"):
             if len(args) != 2:
                 raise ParseError(line_no, f"{tag} needs exactly two step indices")
@@ -284,13 +288,13 @@ def parse_instance(text: str) -> WorkflowInstance:
 
     if step_count == -1:
         raise ParseError(1, "missing wsp header")
-    missing = [u for u in range(user_count) if u not in auth_lines]
+    missing = [u for u in range(user_count) if u not in seen_users]
     if missing:
         raise ParseError(
             len(text.splitlines()) or 1, f"missing auth line for user {missing[0]}"
         )
-    auth = AuthorisationLists.from_user_steps(
-        step_count, [auth_lines[u] for u in range(user_count)]
+    auth = AuthorisationLists.from_step_users(
+        user_count, [users_of.get(s, ()) for s in range(step_count)]
     )
     return WorkflowInstance(step_count, user_count, auth, tuple(constraints))
 
@@ -356,14 +360,13 @@ class PreprocessResult:
 
     ``instance`` has one step per merged equivalence class and no
     binding-of-duty constraints.  ``step_map[s]`` gives the new index of
-    original step s, ``groups[x]`` the original steps merged into new
-    step x.  ``expand_plan`` lifts a plan on the merged instance back to
-    the original steps.
+    original step s, so the original steps merged into new step x are
+    those s with ``step_map[s] == x``.  ``expand_plan`` lifts a plan on
+    the merged instance back to the original steps.
     """
 
     instance: WorkflowInstance
     step_map: tuple[int, ...]
-    groups: tuple[tuple[int, ...], ...]
 
     def expand_plan(self, plan: Mapping[int, int]) -> Plan:
         return {
@@ -410,12 +413,13 @@ def preprocess(instance: WorkflowInstance) -> PreprocessResult:
         groups[step_map[s]].append(s)
 
     new_k = len(roots)
-    step_users = []
+    masks = instance.auth.step_user_masks
+    merged_masks = []
     for members in groups:
-        users = frozenset(instance.auth.step_users[members[0]])
+        mask = masks[members[0]]
         for s in members[1:]:
-            users &= instance.auth.step_users[s]
-        step_users.append(users)
+            mask &= masks[s]
+        merged_masks.append(mask)
 
     rewritten: list[UserIndependentConstraint] = []
     seen: set = set()
@@ -469,8 +473,8 @@ def preprocess(instance: WorkflowInstance) -> PreprocessResult:
 
     new_constraints = tuple(rewritten)
     if new_k == k and new_constraints == instance.constraints:
-        return PreprocessResult(instance, step_map, tuple(map(tuple, groups)))
+        return PreprocessResult(instance, step_map)
 
-    auth = AuthorisationLists.from_step_users(instance.user_count, step_users)
+    auth = AuthorisationLists(instance.user_count, tuple(merged_masks))
     merged = WorkflowInstance(new_k, instance.user_count, auth, new_constraints)
-    return PreprocessResult(merged, step_map, tuple(map(tuple, groups)))
+    return PreprocessResult(merged, step_map)

@@ -236,9 +236,10 @@ def test_criterion_4_matching_is_trustworthy():
             failures.append(f"k={k},n={n}: {out.stats.matchings} leaf matchings")
         if set(out.patterns) != authorised_patterns(inst):
             failures.append(f"k={k},n={n}: realisable patterns differ")
+        step_users = inst.auth.step_users
         for pat, plan in zip(out.patterns, out.plans):
             if encode(plan, k) != pat or not all(
-                u in inst.auth.step_users[s] for s, u in plan.items()
+                u in step_users[s] for s, u in plan.items()
             ):
                 failures.append(f"k={k}: witness broken for {pat}")
 

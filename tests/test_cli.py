@@ -216,8 +216,10 @@ def test_enumerate_unsat(tmp_path, capsys):
 
 
 def test_enumerate_timeout(golden_path, capsys):
-    assert run_cli("enumerate", golden_path, "--time-limit", "0ms") == 21
-    assert capsys.readouterr().out == "timeout\n"
+    assert run_cli("enumerate", golden_path, "--time-limit", "0ms", "--stats") == 21
+    captured = capsys.readouterr()
+    assert captured.out == "timeout\n"
+    assert "status=timeout" in captured.err.splitlines()
 
 
 # --- oracle ------------------------------------------------------------------

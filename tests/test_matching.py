@@ -141,6 +141,7 @@ def test_matching_decides_realisability_exhaustively():
         out = solve_enumerating(inst, prune=False)
         assert out.stats.matchings == bell_numbers(k)[-1]
         assert set(out.patterns) == authorised_patterns(inst)
+        step_users = inst.auth.step_users
         for entries, plan in zip(out.patterns, out.plans):
             assert encode(plan, inst.step_count) == entries
-            assert all(u in inst.auth.step_users[s] for s, u in plan.items())
+            assert all(u in step_users[s] for s, u in plan.items())

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GOLDEN_PLAN, GOLDEN_TEXT, all_complete_plans, instances
 from wspsolve import (
@@ -120,6 +121,32 @@ def test_authorisation_duality_and_masks():
     assert flipped == auth
 
 
+@given(st.data())
+def test_masks_match_raw_user_lists(data):
+    """The masks are checked against the raw per-user lists, not against
+    another view: plan validation, the oracle and the solver all read
+    the masks, so a builder bug would pass them all alike."""
+    k = data.draw(st.integers(1, 8), label="k")
+    n = data.draw(st.integers(1, 200), label="n")
+    steps = st.lists(st.integers(0, k - 1), max_size=k)  # duplicates allowed
+    raw = data.draw(st.lists(steps, min_size=n - 1, max_size=n - 1), label="raw") + [[]]
+    auth = AuthorisationLists.from_user_steps(k, raw)
+    assert auth.user_count == n
+    assert len(auth.step_user_masks) == k
+    for u, steps_of_u in enumerate(raw):
+        for s in range(k):
+            assert (auth.step_user_masks[s] >> u & 1) == (s in steps_of_u)
+    assert AuthorisationLists.from_step_users(n, auth.step_users) == auth
+    assert AuthorisationLists.from_user_steps(k, auth.user_steps) == auth
+    s = data.draw(st.integers(0, k - 1), label="s")
+    high_bit = 1 << data.draw(st.integers(n, n + 70), label="bit")
+    for bad in (-1, auth.step_user_masks[s] | high_bit):
+        masks = list(auth.step_user_masks)
+        masks[s] = bad
+        with pytest.raises(ValueError):
+            AuthorisationLists(n, tuple(masks))
+
+
 def test_authorisation_rejects_out_of_range():
     with pytest.raises(ValueError):
         AuthorisationLists.from_user_steps(2, [{0, 5}])
@@ -175,7 +202,6 @@ def test_preprocess_golden(golden_instance):
     pre = preprocess(golden_instance)
     assert pre.instance.step_count == 3
     assert pre.step_map == (0, 0, 1, 2)
-    assert pre.groups == ((0, 1), (2,), (3,))
     # The merged step keeps only users authorised for both halves.
     assert pre.instance.auth.step_users[0] == {0}
     assert pre.instance.constraints == (

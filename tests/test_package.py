@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import re
 from pathlib import Path
+
+import pytest
 
 import wspsolve
 from wspsolve.cli import build_parser
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_all_names_resolve_and_are_sorted():
@@ -50,3 +55,16 @@ def test_readme_cli_flags_exist():
             else:
                 assert flag in options[owner], (owner, flag)
     assert checked
+
+
+@pytest.mark.parametrize("workload", ["scarce-users", "enumerate", "wide-users"])
+def test_benchmark_toy_run_checks_out(workload, monkeypatch):
+    """The benchmark's own toy-size run, as ``perfbench/selftest.py`` makes
+    it: a change to the model's public shape that breaks the benchmark
+    fails here.  ``paper-k30`` is left to the self-test, being slower."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    result, about = run.run(workload, 1, 0.0, False, scale=10)
+    assert result["correct"] and result["failed"] == 0, about["problems"]
