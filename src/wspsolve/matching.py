@@ -23,37 +23,45 @@ def match_blocks(adjacency: Sequence[int], order: Sequence[int]) -> list[int] | 
     None as soon as some vertex has no augmenting path (at that point no
     matching can cover all vertices, so the remaining vertices are never
     examined).
+
+    Each augmenting path is a depth-first search over users, lowest user
+    first, that visits every user at most once.  It runs on an explicit
+    stack, so a path may be as long as there are vertices.
     """
     user_of = [-1] * len(adjacency)
     owner: dict[int, int] = {}  # user -> left vertex currently matched
     matched_mask = 0
-
-    def augment(i: int, visited: int) -> tuple[bool, int]:
-        nonlocal matched_mask
-        adj = adjacency[i]
-        free = adj & ~matched_mask & ~visited
-        if free:
-            low = free & -free
-            u = low.bit_length() - 1
-            owner[u] = i
-            user_of[i] = u
-            matched_mask |= low
-            return True, visited | low
-        todo = adj & ~visited
-        while todo:
+    for root in order:
+        # path[j] = [vertex, users it has yet to try, user it is trying];
+        # the vertex on top either takes a free user or tries to take an
+        # unvisited one from its owner, who then goes on top.
+        path = [[root, None, -1]]
+        visited = 0
+        while path:
+            frame = path[-1]
+            todo = frame[1]
+            if todo is None:
+                adj = adjacency[frame[0]]
+                free = adj & ~matched_mask & ~visited
+                if free:
+                    low = free & -free
+                    matched_mask |= low
+                    frame[2] = low.bit_length() - 1
+                    # Every vertex on the path takes the user it tried.
+                    for i, _, u in path:
+                        owner[u] = i
+                        user_of[i] = u
+                    break
+                todo = adj & ~visited
+            if not todo:
+                path.pop()
+                continue
             low = todo & -todo
-            todo ^= low
+            frame[1] = todo ^ low
             visited |= low
             u = low.bit_length() - 1
-            ok, visited = augment(owner[u], visited)
-            if ok:
-                owner[u] = i
-                user_of[i] = u
-                return True, visited
-        return False, visited
-
-    for i in order:
-        ok, _ = augment(i, 0)
-        if not ok:
+            frame[2] = u
+            path.append([owner[u], None, -1])
+        else:
             return None
     return user_of

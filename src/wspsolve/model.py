@@ -288,11 +288,9 @@ def parse_instance(text: str) -> WorkflowInstance:
 
     if step_count == -1:
         raise ParseError(1, "missing wsp header")
-    missing = [u for u in range(user_count) if u not in seen_users]
-    if missing:
-        raise ParseError(
-            len(text.splitlines()) or 1, f"missing auth line for user {missing[0]}"
-        )
+    if len(seen_users) < user_count:
+        missing = next(u for u in range(user_count) if u not in seen_users)
+        raise ParseError(len(text.splitlines()) or 1, f"missing auth line for user {missing}")
     auth = AuthorisationLists.from_step_users(
         user_count, [users_of.get(s, ()) for s in range(step_count)]
     )

@@ -15,14 +15,25 @@ A complete pattern is then realisable exactly when the block/user graph
 has a matching covering every block; the matcher supplies the witness
 plan.  Steps are selected by a weighted count of the constraints
 pressing on them, so nearly-saturated at-most scopes are grouped early.
+
+The walk is one loop over an explicit stack, one frame per depth
+holding the chosen step and the next label to try, so the depth of the
+tree is bounded by memory rather than by Python's recursion limit.  It
+yields each realisable complete pattern with its witness as it is found.
+Per-constraint state is flat: a bitmask of the labels each counting
+constraint's scope uses, its distinct and assigned counts, and one score
+per step.  Eligibility is decided once per node as a bitmask of the
+labels the selected step may take, and each candidate label reads its
+bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Iterator
 
 from .constraints import AtLeast, AtMost, BindingOfDuty, NotEquals
 from .matching import match_blocks
@@ -58,6 +69,8 @@ TIMEOUT_CHECK_INTERVAL = 1024
 
 _TIMEOUT_MASK = TIMEOUT_CHECK_INTERVAL - 1
 
+_ASSIGNED = -math.inf
+
 
 class _Timeout(Exception):
     pass
@@ -66,11 +79,16 @@ class _Timeout(Exception):
 class SearchState:
     """Mutable search position: pattern plus incremental constraint counters.
 
-    For every counting constraint the state tracks how many of its scope
-    steps are assigned and how many distinct labels they use, updated in
-    O(scope) on extend/retract.  A per-step score accumulator keeps the
-    at-most component of the selection heuristic current, so selecting a
-    step is a single scan.
+    For every counting constraint ``ci`` the state tracks, in flat lists,
+    ``ct_labels[ci]`` (bit x set when some scope step has label x),
+    ``ct_distinct[ci]`` (the number of those labels) and
+    ``ct_assigned[ci]`` (how many scope steps are assigned).  ``score[s]``
+    is the selection score of step s: its not-equals count plus the
+    at-most weights, or -inf once s is assigned.  Each at-most
+    constraint carries a table of score changes indexed by its distinct
+    count, so extend/retract add precomputed deltas.  The trail records
+    which constraints gained the new label, so retract clears exactly
+    those bits.
     """
 
     def __init__(self, instance: WorkflowInstance, *, prune: bool = True):
@@ -86,124 +104,161 @@ class SearchState:
         self.pattern = Pattern(k, instance.auth.step_user_masks)
         self.stats = SearchStats()
 
-        # Not-equals: static per-step count plus the opposite endpoints.
-        self.ne_count = [0] * k
+        # Scores start at each step's not-equals count plus the at-most
+        # weights of the empty pattern (small whole numbers, so the float
+        # sums are exact in any order).
+        score = [0.0] * k
         ne_other: list[list[int]] = [[] for _ in range(k)]
-        # Counting constraints, indexed densely.
-        self.ct_is_atmost: list[bool] = []
-        self.ct_r: list[int] = []
-        self.ct_scope: list[tuple[int, ...]] = []
-        self.ct_label_counts: list[list[int]] = []
+        # Counting constraints, indexed densely, with per-step views:
+        # upkeep[s] holds (ci, scope, deltas) for extend/retract, where
+        # deltas[d] is the score change of every scope step when ci's
+        # distinct count goes from d to d + 1 (all zero for at-least);
+        # atmost_of[s] holds (ci, budget) and atleast_of[s] holds
+        # (ci, r - |scope| + 1) for the eligibility rules.
+        self.ct_labels: list[int] = []
         self.ct_distinct: list[int] = []
         self.ct_assigned: list[int] = []
-        by_step: list[list[int]] = [[] for _ in range(k)]
+        upkeep: list[list[tuple]] = [[] for _ in range(k)]
+        atmost_of: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+        atleast_of: list[list[tuple[int, int]]] = [[] for _ in range(k)]
         gen_by_step: list[list] = [[] for _ in range(k)]
-        self.generic: list = []
 
         for c in instance.constraints:
             if isinstance(c, NotEquals):
-                self.ne_count[c.s] += 1
-                self.ne_count[c.t] += 1
+                score[c.s] += 1
+                score[c.t] += 1
                 ne_other[c.s].append(c.t)
                 ne_other[c.t].append(c.s)
             elif isinstance(c, (AtMost, AtLeast)):
-                ci = len(self.ct_r)
-                self.ct_is_atmost.append(isinstance(c, AtMost))
-                self.ct_r.append(c.r)
-                scope = tuple(sorted(c.scope))
-                self.ct_scope.append(scope)
-                self.ct_label_counts.append([0] * (k + 1))
+                ci = len(self.ct_labels)
+                self.ct_labels.append(0)
                 self.ct_distinct.append(0)
                 self.ct_assigned.append(0)
+                scope = tuple(sorted(c.scope))
+                if isinstance(c, AtMost):
+                    deltas = tuple(
+                        _weight(c.r - d - 1) - _weight(c.r - d) for d in range(len(scope))
+                    )
+                    for s in scope:
+                        score[s] += _weight(c.r)
+                        atmost_of[s].append((ci, c.r))
+                else:
+                    deltas = (0.0,) * len(scope)
+                    for s in scope:
+                        atleast_of[s].append((ci, c.r - len(scope) + 1))
                 for s in scope:
-                    by_step[s].append(ci)
+                    upkeep[s].append((ci, scope, deltas))
             else:
-                self.generic.append(c)
                 for s in c.scope:
                     gen_by_step[s].append(c)
         self.ne_other = [tuple(x) for x in ne_other]
-        self.by_step = [tuple(x) for x in by_step]
+        self._upkeep = [tuple(x) for x in upkeep]
+        self.by_step = [tuple(ci for ci, _, _ in x) for x in upkeep]
+        self._atmost_of = [tuple(x) for x in atmost_of]
+        self._atleast_of = [tuple(x) for x in atleast_of]
         self.gen_by_step = [tuple(x) for x in gen_by_step]
-
-        self.w_sum = [0.0] * k
-        for ci, is_atmost in enumerate(self.ct_is_atmost):
-            if is_atmost:
-                w = _weight(self.ct_r[ci])
-                if w:
-                    for s in self.ct_scope[ci]:
-                        self.w_sum[s] += w
-        self._trail: list[tuple[int, int, tuple[int, ...]]] = []
+        self.score = score
+        self._trail: list[tuple[int, int, float, list[tuple]]] = []
+        # Eligible-label bitmask per depth, valid while _elig_step[depth]
+        # names the step it was computed for.  Reaching a depth by extend
+        # clears its entry; retract restores an earlier state exactly, so
+        # the entries of shallower depths stay valid.
+        self._elig_step = [-1] * (k + 1)
+        self._elig_mask = [0] * (k + 1)
 
     # -- heuristic ----------------------------------------------------------
 
     def rho(self, step: int) -> float:
         """Selection score of an unassigned step under the current pattern."""
-        return self.ne_count[step] + self.w_sum[step]
+        return self.score[step]
 
     def select_step(self) -> int:
         """Unassigned step with the highest score; ties to the lowest index."""
-        entries = self.pattern.entries
-        best = -1
-        best_score = -math.inf
-        w_sum = self.w_sum
-        ne_count = self.ne_count
-        for s in range(self.step_count):
-            if entries[s] == 0:
-                score = ne_count[s] + w_sum[s]
-                if score > best_score:
-                    best_score = score
-                    best = s
-        if best < 0:
+        score = self.score
+        top = max(score)
+        if top == _ASSIGNED:
             raise ValueError("pattern is complete")
-        return best
+        return score.index(top)
 
     # -- pattern mutation with counter upkeep -------------------------------
 
     def extend(self, step: int, label: int) -> None:
-        self.pattern.extend(step, label)
+        pattern = self.pattern
+        pattern.extend(step, label)
+        self._elig_step[pattern.assigned_count] = -1
+        score = self.score
+        saved = score[step]
+        score[step] = _ASSIGNED
+        bit = 1 << label
+        labels = self.ct_labels
         distinct = self.ct_distinct
-        counts = self.ct_label_counts
         assigned = self.ct_assigned
-        changed: list[int] = []
-        for ci in self.by_step[step]:
-            lc = counts[ci]
-            prev = lc[label]
-            lc[label] = prev + 1
+        gained = []
+        for entry in self._upkeep[step]:
+            ci, scope, deltas = entry
             assigned[ci] += 1
-            if prev == 0:
+            used = labels[ci]
+            if not used & bit:
+                labels[ci] = used | bit
                 d = distinct[ci]
                 distinct[ci] = d + 1
-                changed.append(ci)
-                if self.ct_is_atmost[ci]:
-                    gap = self.ct_r[ci] - d
-                    delta = _weight(gap - 1) - _weight(gap)
-                    if delta:
-                        w_sum = self.w_sum
-                        for q in self.ct_scope[ci]:
-                            w_sum[q] += delta
-        self._trail.append((step, label, tuple(changed)))
+                gained.append(entry)
+                delta = deltas[d]
+                if delta:
+                    for q in scope:
+                        score[q] += delta
+        self._trail.append((step, label, saved, gained))
 
     def retract(self) -> None:
-        step, label, changed = self._trail.pop()
-        counts = self.ct_label_counts
+        step, label, saved, gained = self._trail.pop()
         assigned = self.ct_assigned
         for ci in self.by_step[step]:
-            counts[ci][label] -= 1
             assigned[ci] -= 1
-        distinct = self.ct_distinct
-        for ci in changed:
-            d = distinct[ci]
-            distinct[ci] = d - 1
-            if self.ct_is_atmost[ci]:
-                gap = self.ct_r[ci] - d
-                delta = _weight(gap + 1) - _weight(gap)
+        if gained:
+            keep = ~(1 << label)
+            labels = self.ct_labels
+            distinct = self.ct_distinct
+            score = self.score
+            for ci, scope, deltas in gained:
+                labels[ci] &= keep
+                d = distinct[ci] - 1
+                distinct[ci] = d
+                delta = deltas[d]
                 if delta:
-                    w_sum = self.w_sum
-                    for q in self.ct_scope[ci]:
-                        w_sum[q] += delta
+                    for q in scope:
+                        score[q] -= delta
+        self.score[step] = saved
         self.pattern.retract()
 
     # -- extension viability -----------------------------------------------
+
+    def _eligible_labels(self, step: int) -> int:
+        """Bitmask of the labels in 1..max_label+1 that pass the counters."""
+        pattern = self.pattern
+        mask = (2 << (pattern.max_label + 1)) - 2
+        entries = pattern.entries
+        for t in self.ne_other[step]:
+            mask &= ~(1 << entries[t])
+        distinct = self.ct_distinct
+        labels = self.ct_labels
+        # At-most: at the budget only labels the scope already uses fit;
+        # over it nothing does.
+        for ci, budget in self._atmost_of[step]:
+            over = distinct[ci] - budget
+            if over >= 0:
+                if over:
+                    return 0
+                mask &= labels[ci]
+        # At-least: ``short`` counts the labels still needed beyond one per
+        # other unassigned scope step; one short forces a fresh label.
+        assigned = self.ct_assigned
+        for ci, need in self._atleast_of[step]:
+            short = need - distinct[ci] + assigned[ci]
+            if short > 0:
+                if short > 1:
+                    return 0
+                mask &= ~labels[ci]
+        return mask
 
     def extension_eligible(self, step: int, label: int) -> bool:
         """Would assigning ``label`` to ``step`` leave every constraint repairable?
@@ -212,26 +267,18 @@ class SearchState:
         pattern; equivalent to extending and asking each constraint
         touching ``step`` for a partial check.
         """
-        entries = self.pattern.entries
-        for t in self.ne_other[step]:
-            if entries[t] == label:
-                return False
-        distinct = self.ct_distinct
-        counts = self.ct_label_counts
-        assigned = self.ct_assigned
-        for ci in self.by_step[step]:
-            fresh = 1 if counts[ci][label] == 0 else 0
-            if self.ct_is_atmost[ci]:
-                if distinct[ci] + fresh > self.ct_r[ci]:
-                    return False
-            else:
-                size = len(self.ct_scope[ci])
-                if distinct[ci] + fresh + (size - assigned[ci] - 1) < self.ct_r[ci]:
-                    return False
-        if self.gen_by_step[step]:
+        depth = self.pattern.assigned_count
+        if self._elig_step[depth] != step:
+            self._elig_mask[depth] = self._eligible_labels(step)
+            self._elig_step[depth] = step
+        if not self._elig_mask[depth] >> label & 1:
+            return False
+        generic = self.gen_by_step[step]
+        if generic:
+            entries = self.pattern.entries
             entries[step] = label
             try:
-                for c in self.gen_by_step[step]:
+                for c in generic:
                     if not c.check_partial(entries):
                         return False
             finally:
@@ -239,59 +286,79 @@ class SearchState:
         return True
 
 
-def _run_search(
-    state: SearchState,
-    deadline: float | None,
-    emit: Callable[[tuple[int, ...], Plan], bool],
-) -> None:
-    """Depth-first search; ``emit`` returns True to stop at a witness."""
+def _search(state: SearchState, deadline: float | None) -> Iterator[tuple[tuple[int, ...], Plan]]:
+    """Depth-first walk yielding (canonical pattern, plan) per realisable leaf.
+
+    Raises _Timeout once ``deadline`` has passed.  The counters are kept
+    in locals and written to ``state.stats`` when the walk ends: when it
+    is exhausted, on a timeout, or when the generator is closed early.
+    """
     pattern = state.pattern
     stats = state.stats
     k = state.step_count
     prune = state.prune
-    instance = state.instance
-
-    def node() -> bool:
-        stats.nodes += 1
-        if (stats.nodes & _TIMEOUT_MASK) == 1 and deadline is not None:
-            if time.perf_counter() >= deadline:
-                raise _Timeout
-        if pattern.assigned_count == k:
-            entries = pattern.entries
-            if not prune:
-                for c in instance.constraints:
-                    if not c.satisfied_by(entries):
-                        return False
-            stats.matchings += 1
-            m = pattern.max_label
-            adjacency = pattern.block_masks[1 : m + 1]
-            sizes = pattern.block_sizes
-            order = sorted(range(m), key=lambda i: (-sizes[i + 1], i))
-            user_of = match_blocks(adjacency, order)
-            if user_of is None:
-                return False
-            stats.matchings_full += 1
-            plan = {s: user_of[entries[s] - 1] for s in range(k)}
-            return emit(canonicalize(entries), plan)
-        step = state.select_step()
-        extension_mask = pattern.extension_user_mask
-        eligible = state.extension_eligible
-        for x in range(1, pattern.max_label + 2):
+    constraints = state.instance.constraints
+    auth = state.instance.auth.step_user_masks
+    entries = pattern.entries
+    block_masks = pattern.block_masks
+    block_sizes = pattern.block_sizes
+    extend = state.extend
+    retract = state.retract
+    select_step = state.select_step
+    eligible = state.extension_eligible
+    clock = time.perf_counter
+    nodes = 1  # the root
+    auth_prunes = eligibility_prunes = matchings = matchings_full = 0
+    steps = [0] * k  # the step chosen at each depth
+    next_label = [1] * k  # the next label to try there
+    try:
+        if deadline is not None and clock() >= deadline:
+            raise _Timeout
+        depth = 0
+        steps[0] = select_step()
+        while depth >= 0:
+            x = next_label[depth]
+            if x > pattern.max_label + 1:
+                depth -= 1
+                if depth >= 0:
+                    retract()
+                continue
+            next_label[depth] = x + 1
+            step = steps[depth]
             if prune:
-                if extension_mask(step, x) == 0:
-                    stats.auth_prunes += 1
+                if not (auth[step] if x > pattern.max_label else block_masks[x] & auth[step]):
+                    auth_prunes += 1
                     continue
                 if not eligible(step, x):
-                    stats.eligibility_prunes += 1
+                    eligibility_prunes += 1
                     continue
-            state.extend(step, x)
-            stop = node()
-            state.retract()
-            if stop:
-                return True
-        return False
-
-    node()
+            extend(step, x)
+            nodes += 1
+            if (nodes & _TIMEOUT_MASK) == 1 and deadline is not None and clock() >= deadline:
+                raise _Timeout
+            if depth + 1 < k:
+                depth += 1
+                steps[depth] = select_step()
+                next_label[depth] = 1
+                continue
+            # A complete pattern: decide it by one block/user matching.
+            if prune or all(c.satisfied_by(entries) for c in constraints):
+                matchings += 1
+                m = pattern.max_label
+                # Largest blocks first; the sort is stable, so ties keep label order.
+                order = sorted(range(m), key=lambda i: -block_sizes[i + 1])
+                user_of = match_blocks(block_masks[1 : m + 1], order)
+                if user_of is not None:
+                    matchings_full += 1
+                    plan = {s: user_of[entries[s] - 1] for s in range(k)}
+                    yield canonicalize(entries), plan
+            retract()
+    finally:
+        stats.nodes = nodes
+        stats.auth_prunes = auth_prunes
+        stats.eligibility_prunes = eligibility_prunes
+        stats.matchings = matchings
+        stats.matchings_full = matchings_full
 
 
 def _root_unsat(state: SearchState) -> bool:
@@ -306,22 +373,30 @@ def _drive(
     instance: WorkflowInstance,
     time_limit: float | None,
     prune: bool,
-    emit: Callable[[tuple[int, ...], Plan], bool],
-) -> tuple[SearchStats, bool]:
-    """Run one timed search; returns its stats and whether it timed out."""
+    limit: int | None,
+) -> tuple[list[tuple[tuple[int, ...], Plan]], SearchStats, bool]:
+    """Run one timed search for at most ``limit`` patterns (None: all).
+
+    Returns the (pattern, plan) pairs found, the stats and whether the
+    search timed out.
+    """
     if time_limit is not None and math.isnan(time_limit):
         raise ValueError("time limit is NaN")
     start = time.perf_counter()
     state = SearchState(instance, prune=prune)
+    found: list[tuple[tuple[int, ...], Plan]] = []
     timed_out = time_limit is not None and time_limit <= 0
     if not timed_out and not (prune and _root_unsat(state)):
         deadline = None if time_limit is None else start + time_limit
+        search = _search(state, deadline)
         try:
-            _run_search(state, deadline, emit)
+            found.extend(itertools.islice(search, limit))
         except _Timeout:
             timed_out = True
+        finally:
+            search.close()
     state.stats.wall_time = time.perf_counter() - start
-    return state.stats, timed_out
+    return found, state.stats, timed_out
 
 
 def solve(
@@ -341,15 +416,9 @@ def solve(
     instance must already be preprocessed, i.e. free of binding-of-duty
     constraints.
     """
-    found: list[Plan] = []
-
-    def emit(_pattern: tuple[int, ...], plan: Plan) -> bool:
-        found.append(plan)
-        return True
-
-    stats, timed_out = _drive(instance, time_limit, prune, emit)
+    found, stats, timed_out = _drive(instance, time_limit, prune, 1)
     status = TIMEOUT if timed_out else SAT if found else UNSAT
-    return SolveOutcome(status, found[0] if found else None, stats)
+    return SolveOutcome(status, found[0][1] if found else None, stats)
 
 
 @dataclass(frozen=True)
@@ -377,13 +446,7 @@ def solve_enumerating(
     Patterns are reported in canonical form (labels renumbered by first
     occurrence in step order) with one witness plan per pattern.
     """
-    patterns: list[tuple[int, ...]] = []
-    plans: list[Plan] = []
-
-    def emit(pat: tuple[int, ...], plan: Plan) -> bool:
-        patterns.append(pat)
-        plans.append(plan)
-        return False
-
-    stats, timed_out = _drive(instance, time_limit, prune, emit)
-    return EnumerationOutcome(tuple(patterns), tuple(plans), stats, timed_out)
+    found, stats, timed_out = _drive(instance, time_limit, prune, None)
+    patterns = tuple(p for p, _ in found)
+    plans = tuple(plan for _, plan in found)
+    return EnumerationOutcome(patterns, plans, stats, timed_out)

@@ -114,6 +114,17 @@ def test_solve_stats_on_stderr(golden_path, capsys):
     }
 
 
+def test_solve_deep_instance(tmp_path, capsys):
+    k = 2000
+    text = f"wsp {k} 1\nauth 0 {' '.join(map(str, range(k)))}\n"
+    path = tmp_path / "deep.wsp"
+    path.write_text(text)
+    assert run_cli("solve", str(path)) == 0
+    status, plan = parse_solution(capsys.readouterr().out)
+    assert status == "sat"
+    assert validate_plan(parse_instance(text), plan) == Valid()
+
+
 def test_solve_out_file(golden_path, tmp_path, capsys):
     out = tmp_path / "solution.txt"
     assert run_cli("solve", golden_path, "--out", str(out)) == 0

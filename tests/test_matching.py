@@ -87,6 +87,14 @@ def test_match_blocks_trivial_cases():
     assert match_blocks([0b11, 0b01], [0, 1]) == [1, 0]
 
 
+def test_match_blocks_follows_a_path_through_every_block():
+    # Block i may take users i and i + 1; the last block only user 0,
+    # which block 0 holds, so one augmenting path shifts every block.
+    n = 3000
+    adjacency = [(1 << i) | (1 << (i + 1)) for i in range(n - 1)] + [1]
+    assert match_blocks(adjacency, range(n)) == [*range(1, n), 0]
+
+
 def test_match_blocks_agrees_with_reference_on_random_graphs():
     rnd = random.Random(0xA11CE)
     for _ in range(400):

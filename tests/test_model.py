@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -92,6 +93,22 @@ def test_parse_errors_carry_line_numbers(text, line_no, fragment):
         parse_instance(text)
     assert exc.value.line_no == line_no
     assert fragment in str(exc.value)
+
+
+def test_missing_auth_line_is_found_without_listing_users():
+    # Three million users, one auth line: the error names the first
+    # missing user without building a list of all of them.
+    text = "wsp 1 3000000\nauth 0 0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "missing auth line for user 1" in str(exc.value)
+    assert exc.value.line_no == 2
+    assert peak < 5 * 2**20
 
 
 def test_serialize_golden_round_trips(golden_instance):

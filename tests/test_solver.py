@@ -31,6 +31,7 @@ from wspsolve import (
     solve_enumerating,
     validate_plan,
 )
+from wspsolve.solver import TIMEOUT_CHECK_INTERVAL
 
 
 def make_instance(k, n, step_users, constraints=()):
@@ -129,39 +130,73 @@ def test_select_step_requires_unassigned():
 # --- extension eligibility (peek) vs the constraint API ----------------------
 
 
-@given(instances(max_steps=5, max_users=5, allow_bod=False), st.data())
+def assert_eligibility_matches(state, inst, step):
+    for label in range(1, state.pattern.max_label + 2):
+        probe = list(state.pattern.entries)
+        probe[step] = label
+        expect = all(
+            c.check_partial(probe) for c in inst.constraints if step in c.scope
+        )
+        assert state.extension_eligible(step, label) == expect, (step, label)
+
+
+# Each op: (step pick, label pick, child step pick, retract instead).
+_OPS = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(0, 4), st.booleans()),
+    max_size=12,
+)
+
+
+@given(instances(max_steps=5, max_users=5, allow_bod=False), _OPS)
+# Steps 0 and 1 take two labels, so the at-most scope is already over its
+# budget of one: step 2 may then take no label at all.
+@example(
+    full_auth(3, 3, [AtMost(1, frozenset({0, 1, 2}))]),
+    [(0, 0, 0, False), (0, 1, 0, False), (0, 0, 0, False)],
+)
 @settings(max_examples=80)
-def test_extension_eligible_matches_constraint_checks(inst, data):
+def test_extension_eligible_matches_constraint_checks(inst, ops):
     state = SearchState(inst)
     k = inst.step_count
-    for _ in range(data.draw(st.integers(0, k))):
+    for pick, lab, child_pick, back in ops:
         unassigned = [s for s in range(k) if state.pattern.entries[s] == 0]
-        if not unassigned:
-            break
-        step = data.draw(st.sampled_from(unassigned))
-        max_label = state.pattern.max_label
-        for label in range(1, max_label + 2):
-            probe = list(state.pattern.entries)
-            probe[step] = label
-            expect = all(
-                c.check_partial(probe) for c in inst.constraints if step in c.scope
-            )
-            assert state.extension_eligible(step, label) == expect
-        state.extend(step, data.draw(st.integers(1, max_label + 1)))
+        if back or not unassigned:
+            if state.pattern.assigned_count:
+                state.retract()
+            continue
+        for s in unassigned:
+            assert_eligibility_matches(state, inst, s)
+        step = unassigned[pick % len(unassigned)]
+        rest = [s for s in unassigned if s != step]
+        if rest:
+            # Ask one child step under every label of ``step`` in turn, so
+            # an answer kept from a sibling subtree shows up as a mismatch,
+            # then ask ``step`` again after the child's extend/retract.
+            child = rest[child_pick % len(rest)]
+            for label in range(1, state.pattern.max_label + 2):
+                state.extend(step, label)
+                assert_eligibility_matches(state, inst, child)
+                state.retract()
+            assert_eligibility_matches(state, inst, step)
+        state.extend(step, 1 + lab % (state.pattern.max_label + 1))
 
 
 @given(instances(max_steps=5, max_users=5, allow_bod=False), st.data())
 @settings(max_examples=60)
 def test_search_state_counters_survive_retract(inst, data):
     state = SearchState(inst)
+    pattern = state.pattern
 
     def snapshot():
         return (
-            [list(x) for x in state.ct_label_counts],
+            list(state.ct_labels),
             list(state.ct_distinct),
             list(state.ct_assigned),
-            list(state.w_sum),
-            list(state.pattern.entries),
+            list(state.score),
+            list(pattern.entries),
+            list(pattern.block_masks),
+            list(pattern.block_sizes),
+            pattern.max_label,
         )
 
     baseline = snapshot()
@@ -311,10 +346,24 @@ def test_deadline_interrupts_search():
     assert out.status == TIMEOUT
     assert out.plan is None
     assert out.stats.wall_time < 5
+    # The deadline is read on the nodes numbered 1 mod the interval, and
+    # the stats count every node up to the one that noticed it.
+    assert out.stats.nodes % TIMEOUT_CHECK_INTERVAL == 1
     enum = solve_enumerating(hard_unsat_instance(14), time_limit=0.05)
     assert enum.timed_out
     assert enum.count == 0
     assert enum.stats.wall_time < 5
+    assert enum.stats.nodes % TIMEOUT_CHECK_INTERVAL == 1
+
+
+@pytest.mark.parametrize("k", [1100, 3000])
+def test_deep_search_needs_no_recursion(k):
+    # One user for every step: the search walks straight down to the
+    # single-block pattern, one node per depth.
+    out = solve(full_auth(k, 1))
+    assert out.status == SAT
+    assert out.stats.nodes == k + 1
+    assert out.plan == dict.fromkeys(range(k), 0)
 
 
 def test_generous_deadline_does_not_interfere(golden_instance):
