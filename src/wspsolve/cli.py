@@ -28,14 +28,13 @@ from .model import (
     SAT,
     TIMEOUT,
     UNSAT,
-    ParseError,
     WorkflowInstance,
     format_solution,
     parse_instance,
     preprocess,
     serialize_instance,
 )
-from .oracle import BudgetExceededError, oracle_solve
+from .oracle import DEFAULT_PLAN_BUDGET, oracle_solve
 from .pattern import encode
 from .solver import solve, solve_enumerating
 
@@ -137,6 +136,13 @@ BENCH_COLUMNS = (
     "success_rate",
 )
 
+#: The fields beyond kind, id and k that the summary reads from each row kind.
+_KIND_FIELDS = {
+    "instance": ("seed", "verdict", "wall_ms"),
+    "set": ("seed", "verdict"),
+    "rate": ("success_rate",),
+}
+
 
 @dataclass(frozen=True)
 class BenchRecord:
@@ -162,13 +168,22 @@ class BenchRecord:
 
     @classmethod
     def from_row(cls, row: dict[str, str]) -> "BenchRecord":
-        def opt(name: str, conv):
-            v = row.get(name, "")
-            return None if v == "" else conv(v)
+        """Read one CSV row; ValueError for an unknown kind or a missing field."""
 
+        def opt(name: str, conv):
+            v = row.get(name)  # None in a short row
+            return conv(v) if v else None
+
+        kind, rid = row.get("kind"), row.get("id")
+        needs = _KIND_FIELDS.get(kind)
+        if needs is None:
+            raise ValueError(f"bench row {rid!r} has unknown kind {kind!r}")
+        missing = [name for name in ("id", "k", *needs) if not row.get(name)]
+        if missing:
+            raise ValueError(f"{kind} row {rid!r} lacks {', '.join(missing)}")
         return cls(
-            kind=row["kind"],
-            id=row["id"],
+            kind=kind,
+            id=rid,
             k=int(row["k"]),
             e=opt("e", int),
             c=opt("c", int),
@@ -450,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive ground-truth check (small instances)")
     p.add_argument("instance")
-    p.add_argument("--budget", type=int, default=2_000_000, help="max complete plans to enumerate")
+    p.add_argument("--budget", type=int, default=DEFAULT_PLAN_BUDGET, help="max complete plans to enumerate")
     p.add_argument("--patterns", action="store_true", help="also list the valid patterns")
     p.set_defaults(func=cmd_oracle)
 
@@ -470,9 +485,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

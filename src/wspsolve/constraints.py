@@ -10,6 +10,7 @@ user it is.  Each constraint therefore supports two views:
   pattern (a label per step) alike, with the same verdict.
 * ``check_partial(pattern)`` evaluates a possibly incomplete pattern,
   rejecting it only when no completion can satisfy the constraint.
+  Binding-of-duty, merged away before any search, has only the first.
 
 Patterns are passed as sequences of integer labels indexed by step,
 where 0 marks an unassigned step and equal positive labels mean
@@ -19,10 +20,9 @@ where 0 marks an unassigned step and equal positive labels mean
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from typing import Mapping, Protocol, Sequence
 
 
-@runtime_checkable
 class UserIndependentConstraint(Protocol):
     """Extension point for additional user-independent constraint families.
 
@@ -30,7 +30,8 @@ class UserIndependentConstraint(Protocol):
     ``satisfied_by`` is the reference verdict: plan validation and the
     oracle call it with a plan, and the solver calls it with a complete
     pattern when pruning is off, so it may only index its argument by
-    step and compare the values for equality.  The solver re-checks a
+    step and compare the values for equality.  Constraints that reach
+    the search also need ``check_partial``.  The solver re-checks a
     constraint only when a step of its scope was just assigned, so
     implementations must honour two contracts:
 
@@ -101,10 +102,6 @@ class BindingOfDuty:
 
     def satisfied_by(self, plan: Mapping[int, int] | Sequence[int]) -> bool:
         return plan[self.s] == plan[self.t]
-
-    def check_partial(self, pattern: Sequence[int]) -> bool:
-        a, b = pattern[self.s], pattern[self.t]
-        return a == 0 or b == 0 or a == b
 
 
 @dataclass(frozen=True)

@@ -71,24 +71,29 @@ class AuthorisationLists:
 
     @property
     def user_steps(self) -> tuple[frozenset[StepId], ...]:
+        return tuple(map(frozenset, self._user_step_lists()))
+
+    def _user_step_lists(self) -> list[list[StepId]]:
+        """Each user's steps in ascending order, from one pass over the masks."""
         steps_of: list[list[StepId]] = [[] for _ in range(self.user_count)]
         for s, mask in enumerate(self.step_user_masks):
             for u in _bits(mask):
                 steps_of[u].append(s)
-        return tuple(map(frozenset, steps_of))
+        return steps_of
 
     @classmethod
     def from_user_steps(
         cls, step_count: int, user_steps: Iterable[Iterable[StepId]]
     ) -> "AuthorisationLists":
         by_user = list(user_steps)
-        users_of: list[list[UserId]] = [[] for _ in range(step_count)]
+        masks = [0] * step_count
         for u, steps in enumerate(by_user):
+            bit = 1 << u
             for s in steps:
                 if not 0 <= s < step_count:
                     raise ValueError(f"step index {s} out of range")
-                users_of[s].append(u)
-        return cls.from_step_users(len(by_user), users_of)
+                masks[s] |= bit
+        return cls(len(by_user), tuple(masks))
 
     @classmethod
     def from_step_users(
@@ -226,7 +231,7 @@ def parse_instance(text: str) -> WorkflowInstance:
     """Parse the instance file format; raises ParseError with a line number."""
     step_count = user_count = -1
     seen_users: set[int] = set()
-    users_of: defaultdict[int, list[int]] = defaultdict(list)
+    masks: defaultdict[int, int] = defaultdict(int)
     constraints: list[UserIndependentConstraint] = []
 
     def check_step(value: int, line_no: int) -> int:
@@ -261,8 +266,9 @@ def parse_instance(text: str) -> WorkflowInstance:
             if u in seen_users:
                 raise ParseError(line_no, f"duplicate auth line for user {u}")
             seen_users.add(u)
+            bit = 1 << u
             for t in args[1:]:
-                users_of[check_step(_parse_int(t, line_no, "step index"), line_no)].append(u)
+                masks[check_step(_parse_int(t, line_no, "step index"), line_no)] |= bit
         elif tag in ("ne", "bd"):
             if len(args) != 2:
                 raise ParseError(line_no, f"{tag} needs exactly two step indices")
@@ -291,17 +297,15 @@ def parse_instance(text: str) -> WorkflowInstance:
     if len(seen_users) < user_count:
         missing = next(u for u in range(user_count) if u not in seen_users)
         raise ParseError(len(text.splitlines()) or 1, f"missing auth line for user {missing}")
-    auth = AuthorisationLists.from_step_users(
-        user_count, [users_of.get(s, ()) for s in range(step_count)]
-    )
+    auth = AuthorisationLists(user_count, tuple(masks.get(s, 0) for s in range(step_count)))
     return WorkflowInstance(step_count, user_count, auth, tuple(constraints))
 
 
 def serialize_instance(instance: WorkflowInstance) -> str:
     """Inverse of parse_instance: parse(serialize(x)) == x field for field."""
     out = [f"wsp {instance.step_count} {instance.user_count}"]
-    for u, steps in enumerate(instance.auth.user_steps):
-        out.append(" ".join(["auth", str(u), *map(str, sorted(steps))]).rstrip())
+    for u, steps in enumerate(instance.auth._user_step_lists()):
+        out.append(" ".join(["auth", str(u), *map(str, steps)]))
     for c in instance.constraints:
         if isinstance(c, NotEquals):
             out.append(f"ne {c.s} {c.t}")
@@ -402,22 +406,20 @@ def preprocess(instance: WorkflowInstance) -> PreprocessResult:
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
 
-    # New step indices ordered by smallest original member.
-    roots = sorted({find(s) for s in range(k)})
-    new_index = {root: x for x, root in enumerate(roots)}
-    step_map = tuple(new_index[find(s)] for s in range(k))
-    groups: list[list[int]] = [[] for _ in roots]
-    for s in range(k):
-        groups[step_map[s]].append(s)
-
-    new_k = len(roots)
+    # A class's root is its smallest member, so an ascending pass numbers
+    # the classes by smallest member and meets each root before the rest.
     masks = instance.auth.step_user_masks
-    merged_masks = []
-    for members in groups:
-        mask = masks[members[0]]
-        for s in members[1:]:
-            mask &= masks[s]
-        merged_masks.append(mask)
+    new_index: list[int] = []
+    merged_masks: list[int] = []
+    for s in range(k):
+        root = find(s)
+        if root == s:
+            new_index.append(len(merged_masks))
+            merged_masks.append(masks[s])
+        else:
+            new_index.append(new_index[root])
+            merged_masks[new_index[root]] &= masks[s]
+    step_map = tuple(new_index)
 
     rewritten: list[UserIndependentConstraint] = []
     seen: set = set()
@@ -470,9 +472,9 @@ def preprocess(instance: WorkflowInstance) -> PreprocessResult:
             emit(c, ("other", c))
 
     new_constraints = tuple(rewritten)
-    if new_k == k and new_constraints == instance.constraints:
+    if len(merged_masks) == k and new_constraints == instance.constraints:
         return PreprocessResult(instance, step_map)
 
     auth = AuthorisationLists(instance.user_count, tuple(merged_masks))
-    merged = WorkflowInstance(new_k, instance.user_count, auth, new_constraints)
+    merged = WorkflowInstance(len(merged_masks), instance.user_count, auth, new_constraints)
     return PreprocessResult(merged, step_map)

@@ -24,21 +24,11 @@ def encode(plan: Mapping[int, int], step_count: int, order: Sequence[int] | None
     Scanning the steps in ``order`` (index order by default), the first
     user met gets label 1, the next new user 2, and so on; unassigned
     steps stay 0.  Plans that assign the same steps with the same
-    user-sharing structure encode to the same tuple.
+    user-sharing structure encode to the same tuple.  User ids are
+    non-negative, so user u is read as label u + 1 and 0 stays free to
+    mean "unassigned".
     """
-    order = range(step_count) if order is None else order
-    labels: dict[int, int] = {}
-    out = [0] * step_count
-    for s in order:
-        u = plan.get(s)
-        if u is None:
-            continue
-        lab = labels.get(u)
-        if lab is None:
-            lab = len(labels) + 1
-            labels[u] = lab
-        out[s] = lab
-    return tuple(out)
+    return canonicalize([plan.get(s, -1) + 1 for s in range(step_count)], order)
 
 
 def canonicalize(entries: Sequence[int], order: Sequence[int] | None = None) -> tuple[int, ...]:

@@ -91,18 +91,16 @@ class SearchState:
     those bits.
     """
 
-    def __init__(self, instance: WorkflowInstance, *, prune: bool = True):
+    def __init__(self, instance: WorkflowInstance):
         for c in instance.constraints:
             if isinstance(c, BindingOfDuty):
                 raise ValueError(
                     "instance still has binding-of-duty constraints; preprocess first"
                 )
         self.instance = instance
-        self.prune = prune
         k = instance.step_count
         self.step_count = k
         self.pattern = Pattern(k, instance.auth.step_user_masks)
-        self.stats = SearchStats()
 
         # Scores start at each step's not-equals count plus the at-most
         # weights of the empty pattern (small whole numbers, so the float
@@ -167,10 +165,6 @@ class SearchState:
         self._elig_mask = [0] * (k + 1)
 
     # -- heuristic ----------------------------------------------------------
-
-    def rho(self, step: int) -> float:
-        """Selection score of an unassigned step under the current pattern."""
-        return self.score[step]
 
     def select_step(self) -> int:
         """Unassigned step with the highest score; ties to the lowest index."""
@@ -286,17 +280,17 @@ class SearchState:
         return True
 
 
-def _search(state: SearchState, deadline: float | None) -> Iterator[tuple[tuple[int, ...], Plan]]:
+def _search(
+    state: SearchState, deadline: float | None, prune: bool, stats: SearchStats
+) -> Iterator[tuple[tuple[int, ...], Plan]]:
     """Depth-first walk yielding (canonical pattern, plan) per realisable leaf.
 
     Raises _Timeout once ``deadline`` has passed.  The counters are kept
-    in locals and written to ``state.stats`` when the walk ends: when it
-    is exhausted, on a timeout, or when the generator is closed early.
+    in locals and written to ``stats`` when the walk ends: when it is
+    exhausted, on a timeout, or when the generator is closed early.
     """
     pattern = state.pattern
-    stats = state.stats
     k = state.step_count
-    prune = state.prune
     constraints = state.instance.constraints
     auth = state.instance.auth.step_user_masks
     entries = pattern.entries
@@ -361,12 +355,12 @@ def _search(state: SearchState, deadline: float | None) -> Iterator[tuple[tuple[
         stats.matchings_full = matchings_full
 
 
-def _root_unsat(state: SearchState) -> bool:
+def _root_unsat(instance: WorkflowInstance) -> bool:
     """Cheap whole-instance checks run before the search (prunes)."""
-    if any(mask == 0 for mask in state.instance.auth.step_user_masks):
+    if any(mask == 0 for mask in instance.auth.step_user_masks):
         return True
-    zeros = [0] * state.step_count
-    return any(not c.check_partial(zeros) for c in state.instance.constraints)
+    zeros = [0] * instance.step_count
+    return any(not c.check_partial(zeros) for c in instance.constraints)
 
 
 def _drive(
@@ -383,20 +377,21 @@ def _drive(
     if time_limit is not None and math.isnan(time_limit):
         raise ValueError("time limit is NaN")
     start = time.perf_counter()
-    state = SearchState(instance, prune=prune)
+    state = SearchState(instance)
+    stats = SearchStats()
     found: list[tuple[tuple[int, ...], Plan]] = []
     timed_out = time_limit is not None and time_limit <= 0
-    if not timed_out and not (prune and _root_unsat(state)):
+    if not timed_out and not (prune and _root_unsat(instance)):
         deadline = None if time_limit is None else start + time_limit
-        search = _search(state, deadline)
+        search = _search(state, deadline, prune, stats)
         try:
             found.extend(itertools.islice(search, limit))
         except _Timeout:
             timed_out = True
         finally:
             search.close()
-    state.stats.wall_time = time.perf_counter() - start
-    return found, state.stats, timed_out
+    stats.wall_time = time.perf_counter() - start
+    return found, stats, timed_out
 
 
 def solve(

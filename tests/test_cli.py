@@ -285,6 +285,28 @@ def test_bench_summarize_existing_csv(tmp_path, capsys):
     assert "instances: 2" in capsys.readouterr().out
 
 
+_BENCH_HEADER = "kind,id,k,e,c,seed,verdict,wall_ms,nodes,matchings,prunes,success_rate\n"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # instance rows without wall_ms (the slowest-instance line compared None)
+        "instance,k5-a,5,1,1,0,sat,,10,1,2,\ninstance,k5-b,5,1,2,0,unsat,,12,1,3,\n",
+        # a rate row without its rate (formatted None)
+        "rate,k5,5,,,,,,,,,\n",
+        "total,k5,5,,,,,,,,,\n",  # unknown kind
+        "instance,k5-a,5\n",  # a short row
+    ],
+    ids=["no-wall-ms", "no-success-rate", "unknown-kind", "short-row"],
+)
+def test_bench_summarize_rejects_incomplete_rows(tmp_path, capsys, rows):
+    path = tmp_path / "bench.csv"
+    path.write_text(_BENCH_HEADER + rows)
+    assert run_cli("bench", "--summarize", str(path)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_bench_requires_suite_or_summarize(capsys):
     assert run_cli("bench") == 2
     assert "error:" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import itertools
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import GOLDEN_PLAN, GOLDEN_TEXT, all_complete_plans, instances
@@ -311,6 +311,64 @@ def test_preprocess_empty_intersection_is_allowed():
     pre = preprocess(inst)
     assert pre.instance.step_count == 1
     assert pre.instance.auth.step_users[0] == frozenset()
+
+
+@st.composite
+def _masks_and_pairs(draw):
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 6))
+    masks = draw(st.lists(st.integers(0, 2**n - 1), min_size=k, max_size=k))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)).filter(
+                lambda p: p[0] != p[1]
+            ),
+            max_size=10,
+        )
+        if k >= 2
+        else st.just([])
+    )
+    return n, masks, pairs
+
+
+@given(_masks_and_pairs())
+@example((3, [0b111, 0b110, 0b011, 0b101], [(3, 1), (1, 0)]))  # a chain, larger index first
+def test_preprocess_merges_like_repeated_closure(case):
+    """step_map numbers the binding-of-duty classes by smallest member and
+    each merged mask is the AND of its members', against components
+    found by closing each step's class under the pairs until it stops
+    growing."""
+    n, masks, pairs = case
+    k = len(masks)
+    inst = WorkflowInstance(
+        k, n, AuthorisationLists(n, tuple(masks)), tuple(BindingOfDuty(s, t) for s, t in pairs)
+    )
+    classes = set()
+    for s in range(k):
+        members = {s}
+        grown = True
+        while grown:
+            grown = False
+            for a, b in pairs:
+                if (a in members) != (b in members):
+                    members |= {a, b}
+                    grown = True
+        classes.add(frozenset(members))
+    ordered = sorted(classes, key=min)
+    pre = preprocess(inst)
+    assert pre.step_map == tuple(
+        next(x for x, members in enumerate(ordered) if s in members) for s in range(k)
+    )
+    expected = []
+    for members in ordered:
+        mask = 2**n - 1
+        for s in members:
+            mask &= masks[s]
+        expected.append(mask)
+    assert pre.instance.auth.step_user_masks == tuple(expected)
+    assert pre.instance.constraints == ()
+    if not pairs:
+        assert pre.instance is inst
 
 
 @given(instances(max_steps=4, max_users=4))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -57,14 +58,32 @@ def test_readme_cli_flags_exist():
     assert checked
 
 
-@pytest.mark.parametrize("workload", ["scarce-users", "enumerate", "wide-users"])
-def test_benchmark_toy_run_checks_out(workload, monkeypatch):
-    """The benchmark's own toy-size run, as ``perfbench/selftest.py`` makes
-    it: a change to the model's public shape that breaks the benchmark
-    fails here.  ``paper-k30`` is left to the self-test, being slower."""
+@pytest.fixture
+def perfbench_run(monkeypatch):
+    """``perfbench/run.py``, imported as the benchmark runs it."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    result, about = run.run(workload, 1, 0.0, False, scale=10)
+    return run
+
+
+@pytest.mark.parametrize("workload", ["scarce-users", "enumerate", "wide-users"])
+def test_benchmark_toy_run_checks_out(workload, perfbench_run):
+    """The benchmark's own toy-size run, as ``perfbench/selftest.py`` makes
+    it: a change to the model's public shape that breaks the benchmark
+    fails here.  ``paper-k30`` is left to the self-test, being slower."""
+    result, about = perfbench_run.run(workload, 1, 0.0, False, scale=10)
     assert result["correct"] and result["failed"] == 0, about["problems"]
+
+
+def test_benchmark_traced_toy_run_finds_every_boundary(perfbench_run):
+    """The traced run wraps the search's per-node boundaries by name, and
+    reports a renamed or deleted one absent rather than failing; this
+    catches that, and checks every per-layer metric is emitted."""
+    result, about = perfbench_run.run("enumerate", 1, 0.0, True, scale=10)
+    assert result["correct"], about["problems"]
+    assert about["absent"] == []
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for metric in spec["per_layer"]:
+        assert metric["name"] in result["metrics"], metric["name"]

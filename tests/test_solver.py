@@ -72,9 +72,9 @@ def test_solver_requires_preprocessing(golden_instance):
 def test_rho_counts_not_equals():
     inst = full_auth(3, 3, [NotEquals(0, 1), NotEquals(0, 2)])
     state = SearchState(inst)
-    assert state.rho(0) == 2
-    assert state.rho(1) == 1
-    assert state.rho(2) == 1
+    assert state.score[0] == 2
+    assert state.score[1] == 1
+    assert state.score[2] == 1
     assert state.select_step() == 0
 
 
@@ -82,23 +82,23 @@ def test_rho_weights_at_most_by_remaining_budget():
     inst = full_auth(6, 6, [AtMost(3, frozenset({0, 1, 2, 3, 4}))])
     state = SearchState(inst)
     # Nothing assigned: three distinct users still allowed, no pressure.
-    assert state.rho(0) == 0
+    assert state.score[0] == 0
     state.extend(0, 1)
     # One distinct label, two left in the budget.
-    assert state.rho(1) == 1.0
+    assert state.score[1] == 1.0
     state.extend(1, 2)
     # Two distinct, one left.
-    assert state.rho(2) == 2.0
+    assert state.score[2] == 2.0
     state.extend(2, 3)
     # Budget exhausted: remaining scope steps must reuse labels.
-    assert state.rho(3) == state.rho(4) == 100.0
-    assert state.rho(5) == 0  # outside the scope
+    assert state.score[3] == state.score[4] == 100.0
+    assert state.score[5] == 0  # outside the scope
     assert state.select_step() == 3  # ties break to the lowest index
     state.retract()
-    assert state.rho(3) == 2.0
+    assert state.score[3] == 2.0
     state.retract()
     state.retract()
-    assert state.rho(3) == 0
+    assert state.score[3] == 0
 
 
 def test_rho_reusing_labels_adds_no_pressure():
@@ -106,9 +106,9 @@ def test_rho_reusing_labels_adds_no_pressure():
     state = SearchState(inst)
     state.extend(0, 1)
     state.extend(1, 1)  # same block: still one distinct user
-    assert state.rho(2) == 2.0
+    assert state.score[2] == 2.0
     state.extend(2, 1)
-    assert state.rho(3) == 2.0
+    assert state.score[3] == 2.0
 
 
 def test_at_least_contributes_no_selection_pressure():
@@ -116,7 +116,7 @@ def test_at_least_contributes_no_selection_pressure():
     state = SearchState(inst)
     state.extend(0, 1)
     state.extend(1, 2)
-    assert all(state.rho(s) == 0 for s in range(2, 5))
+    assert all(state.score[s] == 0 for s in range(2, 5))
 
 
 def test_select_step_requires_unassigned():
