@@ -21,13 +21,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_args, get_type_hints
 
 from .generator import GeneratorConfig, density_to_e, generate
 from .model import (
     SAT,
     TIMEOUT,
     UNSAT,
+    SearchStats,
     WorkflowInstance,
     format_solution,
     parse_instance,
@@ -116,25 +117,19 @@ def parse_suite(text: str) -> SuiteSpec:
         seeds = tuple(int(x) for x in seeds_text.split(","))
     if not (ks and mults and seeds):
         raise ValueError("suite needs at least one k, c and seed")
-    return SuiteSpec(ks, density, tuple(mults), seeds)
+    suite = SuiteSpec(ks, density, tuple(mults), seeds)
+    # A repeated value would run one instance twice under one id and
+    # count it twice in its set.
+    ids: set[str] = set()
+    for config in suite.configs():
+        iid = instance_id(config, density)
+        if iid in ids:
+            raise ValueError(f"suite repeats instance {iid}; k, c and seeds need distinct values")
+        ids.add(iid)
+    return suite
 
 
 # --- bench records ----------------------------------------------------------
-
-BENCH_COLUMNS = (
-    "kind",
-    "id",
-    "k",
-    "e",
-    "c",
-    "seed",
-    "verdict",
-    "wall_ms",
-    "nodes",
-    "matchings",
-    "prunes",
-    "success_rate",
-)
 
 #: The fields beyond kind, id and k that the summary reads from each row kind.
 _KIND_FIELDS = {
@@ -169,11 +164,6 @@ class BenchRecord:
     @classmethod
     def from_row(cls, row: dict[str, str]) -> "BenchRecord":
         """Read one CSV row; ValueError for an unknown kind or a missing field."""
-
-        def opt(name: str, conv):
-            v = row.get(name)  # None in a short row
-            return conv(v) if v else None
-
         kind, rid = row.get("kind"), row.get("id")
         needs = _KIND_FIELDS.get(kind)
         if needs is None:
@@ -181,20 +171,16 @@ class BenchRecord:
         missing = [name for name in ("id", "k", *needs) if not row.get(name)]
         if missing:
             raise ValueError(f"{kind} row {rid!r} lacks {', '.join(missing)}")
-        return cls(
-            kind=kind,
-            id=rid,
-            k=int(row["k"]),
-            e=opt("e", int),
-            c=opt("c", int),
-            seed=opt("seed", int),
-            verdict=opt("verdict", str),
-            wall_ms=opt("wall_ms", int),
-            nodes=opt("nodes", int),
-            matchings=opt("matchings", int),
-            prunes=opt("prunes", int),
-            success_rate=opt("success_rate", float),
-        )
+        # An empty cell, or one missing from a short row, keeps the default.
+        return cls(**{name: conv(row[name]) for name, conv in _COLUMN_TYPES.items() if row.get(name)})
+
+
+BENCH_COLUMNS = tuple(f.name for f in fields(BenchRecord))
+
+#: Each column's type, read off its field's annotation (``int | None`` gives int).
+_COLUMN_TYPES = {
+    name: (get_args(hint) or (hint,))[0] for name, hint in get_type_hints(BenchRecord).items()
+}
 
 
 def instance_id(config: GeneratorConfig, density: float) -> str:
@@ -228,40 +214,35 @@ def run_bench(suite: SuiteSpec, time_limit: float, jobs: int = 1) -> list[BenchR
             records = list(pool.map(task, suite.configs()))
     else:
         records = list(map(task, suite.configs()))
+    return records + set_and_rate_rows(records)
 
-    out = list(records)
-    rate_by_k: dict[int, list[bool]] = {}
-    i = 0
-    for k in suite.step_counts:
-        for seed in suite.seeds:
-            members = records[i : i + len(suite.c_multipliers)]
-            i += len(suite.c_multipliers)
-            ok = all(r.verdict != TIMEOUT for r in members)
-            rate_by_k.setdefault(k, []).append(ok)
-            out.append(
-                BenchRecord(
-                    kind="set",
-                    id=f"k{k}-s{seed}",
-                    k=k,
-                    seed=seed,
-                    verdict="ok" if ok else "failed",
-                    wall_ms=sum(r.wall_ms for r in members),
-                    nodes=sum(r.nodes for r in members),
-                    matchings=sum(r.matchings for r in members),
-                    prunes=sum(r.prunes for r in members),
-                )
-            )
-    for k in suite.step_counts:
-        oks = rate_by_k[k]
-        out.append(
-            BenchRecord(
-                kind="rate",
-                id=f"k{k}",
-                k=k,
-                success_rate=sum(oks) / len(oks),
-            )
-        )
-    return out
+
+def set_and_rate_rows(instances: Iterable[BenchRecord]) -> list[BenchRecord]:
+    """The set row of each (k, seed), then the rate row of each k.
+
+    Both come in order of first appearance.  A set is ok when none of its
+    instances timed out, and its counters are the sums over its instances
+    (None where an instance lacks one).  A rate is the fraction of a k's
+    sets that are ok.
+    """
+    members_of: dict[tuple[int, int], list[BenchRecord]] = {}
+    for r in instances:
+        members_of.setdefault((r.k, r.seed), []).append(r)
+    sets, oks_of = [], {}
+    for (k, seed), members in members_of.items():
+        ok = all(r.verdict != TIMEOUT for r in members)
+        oks_of.setdefault(k, []).append(ok)
+        totals = {}
+        for name in ("wall_ms", "nodes", "matchings", "prunes"):
+            values = [getattr(r, name) for r in members]
+            totals[name] = None if None in values else sum(values)
+        verdict = "ok" if ok else "failed"
+        sets.append(BenchRecord("set", f"k{k}-s{seed}", k, seed=seed, verdict=verdict, **totals))
+    rates = [
+        BenchRecord("rate", f"k{k}", k, success_rate=sum(oks) / len(oks))
+        for k, oks in oks_of.items()
+    ]
+    return sets + rates
 
 
 def write_bench_csv(records: Iterable[BenchRecord], stream) -> None:
@@ -279,31 +260,27 @@ def read_bench_csv(stream) -> list[BenchRecord]:
 
 
 def summarize_bench(records: Sequence[BenchRecord]) -> str:
-    """Human summary; recomputes set success from instance rows as a check."""
+    """Human summary; checks the set and rate rows against the instance rows."""
     instances = [r for r in records if r.kind == "instance"]
     sets = [r for r in records if r.kind == "set"]
     rates = [r for r in records if r.kind == "rate"]
+    derived = set_and_rate_rows(instances)
+    ok_of = {(r.k, r.seed): r.verdict == "ok" for r in derived if r.kind == "set"}
+    rate_of = {r.k: r.success_rate for r in derived if r.kind == "rate"}
     lines = [
         f"instances: {len(instances)}"
         f" (sat {sum(1 for r in instances if r.verdict == SAT)},"
         f" unsat {sum(1 for r in instances if r.verdict == UNSAT)},"
         f" timeout {sum(1 for r in instances if r.verdict == TIMEOUT)})"
     ]
-    by_set: dict[tuple[int, int], bool] = {}
-    for r in instances:
-        key = (r.k, r.seed)
-        by_set[key] = by_set.get(key, True) and r.verdict != TIMEOUT
     for r in sets:
-        recomputed = by_set.get((r.k, r.seed))
-        if recomputed is not None and recomputed != (r.verdict == "ok"):
+        ok = ok_of.get((r.k, r.seed))
+        if ok is not None and ok != (r.verdict == "ok"):
             raise ValueError(f"set row {r.id} disagrees with its instance rows")
     for r in rates:
-        sets_k = [ok for (k, _), ok in sorted(by_set.items()) if k == r.k]
-        lines.append(
-            f"k={r.k}: success rate {r.success_rate:.3f}"
-            f" over {len(sets_k)} sets"
-        )
-        if sets_k and abs(sum(sets_k) / len(sets_k) - r.success_rate) > 1e-9:
+        set_count = sum(1 for k, _ in ok_of if k == r.k)
+        lines.append(f"k={r.k}: success rate {r.success_rate:.3f} over {set_count} sets")
+        if r.k in rate_of and abs(rate_of[r.k] - r.success_rate) > 1e-9:
             raise ValueError(f"rate row {r.id} disagrees with its set rows")
     if instances:
         worst = max(instances, key=lambda r: r.wall_ms)
@@ -319,17 +296,14 @@ def _read_instance(path: str) -> WorkflowInstance:
     return parse_instance(text)
 
 
-def _emit_stats(outcome_stats, status: str) -> None:
-    st = outcome_stats
-    for key, value in (
-        ("status", status),
-        ("nodes", st.nodes),
-        ("auth_prunes", st.auth_prunes),
-        ("eligibility_prunes", st.eligibility_prunes),
-        ("matchings", st.matchings),
-        ("matchings_full", st.matchings_full),
-        ("wall_ms", int(st.wall_time * 1000)),
-    ):
+def _emit_stats(stats: SearchStats, status: str) -> None:
+    """``key=value`` lines on stderr: the status, then each field of
+    ``stats`` in declaration order, a ``*_time`` in seconds as ``*_ms``."""
+    print(f"status={status}", file=sys.stderr)
+    for f in fields(stats):
+        key, value = f.name, getattr(stats, f.name)
+        if key.endswith("_time"):
+            key, value = key.removesuffix("_time") + "_ms", int(value * 1000)
         print(f"{key}={value}", file=sys.stderr)
 
 

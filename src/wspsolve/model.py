@@ -20,7 +20,6 @@ line per step, or a single ``unsat`` / ``timeout`` line.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -230,8 +229,7 @@ def _parse_int(tok: str, line_no: int, what: str) -> int:
 def parse_instance(text: str) -> WorkflowInstance:
     """Parse the instance file format; raises ParseError with a line number."""
     step_count = user_count = -1
-    seen_users: set[int] = set()
-    masks: defaultdict[int, int] = defaultdict(int)
+    steps_of: dict[UserId, list[StepId]] = {}
     constraints: list[UserIndependentConstraint] = []
 
     def check_step(value: int, line_no: int) -> int:
@@ -263,12 +261,9 @@ def parse_instance(text: str) -> WorkflowInstance:
             u = _parse_int(args[0], line_no, "user index")
             if not 0 <= u < user_count:
                 raise ParseError(line_no, f"user index {u} out of range 0..{user_count - 1}")
-            if u in seen_users:
+            if u in steps_of:
                 raise ParseError(line_no, f"duplicate auth line for user {u}")
-            seen_users.add(u)
-            bit = 1 << u
-            for t in args[1:]:
-                masks[check_step(_parse_int(t, line_no, "step index"), line_no)] |= bit
+            steps_of[u] = [check_step(_parse_int(t, line_no, "step index"), line_no) for t in args[1:]]
         elif tag in ("ne", "bd"):
             if len(args) != 2:
                 raise ParseError(line_no, f"{tag} needs exactly two step indices")
@@ -294,10 +289,11 @@ def parse_instance(text: str) -> WorkflowInstance:
 
     if step_count == -1:
         raise ParseError(1, "missing wsp header")
-    if len(seen_users) < user_count:
-        missing = next(u for u in range(user_count) if u not in seen_users)
+    # Checked before any mask is built: user u's bit costs memory up to u.
+    if len(steps_of) < user_count:
+        missing = next(u for u in range(user_count) if u not in steps_of)
         raise ParseError(len(text.splitlines()) or 1, f"missing auth line for user {missing}")
-    auth = AuthorisationLists(user_count, tuple(masks.get(s, 0) for s in range(step_count)))
+    auth = AuthorisationLists.from_user_steps(step_count, (steps_of[u] for u in range(user_count)))
     return WorkflowInstance(step_count, user_count, auth, tuple(constraints))
 
 

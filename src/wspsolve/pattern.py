@@ -18,17 +18,16 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 
-def encode(plan: Mapping[int, int], step_count: int, order: Sequence[int] | None = None) -> tuple[int, ...]:
+def encode(plan: Mapping[int, int], step_count: int) -> tuple[int, ...]:
     """Encode a (possibly partial) plan as a pattern.
 
-    Scanning the steps in ``order`` (index order by default), the first
-    user met gets label 1, the next new user 2, and so on; unassigned
-    steps stay 0.  Plans that assign the same steps with the same
-    user-sharing structure encode to the same tuple.  User ids are
-    non-negative, so user u is read as label u + 1 and 0 stays free to
-    mean "unassigned".
+    Scanning the steps in index order, the first user met gets label 1,
+    the next new user 2, and so on; unassigned steps stay 0.  Plans that
+    assign the same steps with the same user-sharing structure encode to
+    the same tuple.  User ids are non-negative, so user u is read as
+    label u + 1 and 0 stays free to mean "unassigned".
     """
-    return canonicalize([plan.get(s, -1) + 1 for s in range(step_count)], order)
+    return canonicalize([plan.get(s, -1) + 1 for s in range(step_count)])
 
 
 def canonicalize(entries: Sequence[int], order: Sequence[int] | None = None) -> tuple[int, ...]:

@@ -73,6 +73,9 @@ def test_parse_suite():
         "k=5 d=10 c=12 seeds=0..1",  # c not scaled by k
         "k=5 k=6 d=10 c=1k seeds=0",  # duplicate key
         "k=5 d=10 c=1k seeds=0 extra",  # not key=value
+        "k=5,5 d=10 c=1k seeds=0",  # repeated k
+        "k=5 d=10 c=1k,1.0k seeds=0",  # repeated c
+        "k=5 d=10 c=1k seeds=0,0",  # repeated seed
     ],
 )
 def test_parse_suite_rejects(text):
@@ -353,6 +356,54 @@ def test_summarize_detects_tampered_rows():
     ]
     with pytest.raises(ValueError):
         summarize_bench(broken)
+
+
+# --- exit-code contract ------------------------------------------------------
+
+
+_BAD_INPUTS = {
+    # A user index near 10**18 and one auth line.
+    "absurd": "wsp 1 1000000000000000000\nauth 999999999999999999 0\n".encode(),
+    "binary": b"\xff\xfewsp 1 1\n",
+    # Instance rows without their optional counters summarise fine.
+    "bare_csv": (_BENCH_HEADER + "instance,k5-a,5,,,0,sat,3,,,,\n").encode(),
+    # A rate row that disagrees with its instance row.
+    "bad_rate": (_BENCH_HEADER + "instance,k5-a,5,,,0,sat,3,,,,\nrate,k5,5,,,,,,,,,0.5\n").encode(),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("solve", "{absurd}"), 2),
+        (("enumerate", "{absurd}"), 2),
+        (("oracle", "{absurd}"), 2),
+        (("solve", "{binary}"), 2),
+        (("enumerate", "{binary}"), 2),
+        (("oracle", "{binary}"), 2),
+        (("solve", "{dir}"), 2),
+        (("enumerate", "{dir}"), 2),
+        (("oracle", "{dir}"), 2),
+        (("generate", "--suite", "k=5,5 d=10 c=1k seeds=0", "--out-dir", "{dir}"), 2),
+        (("generate", "-k", "5", "-e", "1", "--out", "{dir}"), 2),
+        (("bench", "--suite", "k=5 d=10 c=1k seeds=0,0"), 2),
+        (("bench", "--summarize", "{binary}"), 2),
+        (("bench", "--summarize", "{dir}"), 2),
+        (("bench", "--summarize", "{bare_csv}"), 0),
+        (("bench", "--summarize", "{bad_rate}"), 2),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, tuple) else None,
+)
+def test_exit_code_contract(tmp_path, capsys, argv, expected):
+    paths = {"dir": str(tmp_path)}
+    for name, data in _BAD_INPUTS.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        paths[name] = str(path)
+    code = run_cli(*(arg.format_map(paths) for arg in argv))
+    assert code in (0, 20, 21, 2)
+    assert code == expected
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # --- module entry point ------------------------------------------------------

