@@ -21,10 +21,11 @@ holding the chosen step and the next label to try, so the depth of the
 tree is bounded by memory rather than by Python's recursion limit.  It
 yields each realisable complete pattern with its witness as it is found.
 Per-constraint state is flat: a bitmask of the labels each counting
-constraint's scope uses, its distinct and assigned counts, and one score
-per step.  Eligibility is decided once per node as a bitmask of the
-labels the selected step may take, and each candidate label reads its
-bit.
+constraint's scope uses, its room (how many more fresh labels an
+at-most scope, or reused labels an at-least scope, can take before no
+completion satisfies it), and one score per step.  Eligibility is
+decided once per node as a bitmask of the labels the selected step may
+take, and each candidate label reads its bit.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .model import (
 from .pattern import Pattern, canonicalize
 
 
-#: Step-selection weights of an at-most constraint, indexed by its gap:
+#: Step-selection weights of an at-most constraint, indexed by its room:
 #: the budget minus the distinct labels its scope already uses.  A step
 #: scores the number of not-equals constraints touching it, plus 100 for
 #: each at-most constraint whose scope already uses its full budget of
@@ -58,10 +59,15 @@ from .pattern import Pattern, canonicalize
 AT_MOST_WEIGHTS = (100.0, 2.0, 1.0)
 
 
-def _weight(gap: int) -> float:
-    if 0 <= gap <= 2:
-        return AT_MOST_WEIGHTS[gap]
+def _weight(room: int) -> float:
+    if 0 <= room <= 2:
+        return AT_MOST_WEIGHTS[room]
     return 0.0
+
+
+#: Score change of every step in an at-most scope when a fresh label
+#: spends room g; zero for any g outside 0..3.
+_SPEND_DELTA = tuple(_weight(g - 1) - _weight(g) for g in range(4))
 
 
 #: The deadline is consulted once every this many search nodes.
@@ -80,15 +86,16 @@ class SearchState:
     """Mutable search position: pattern plus incremental constraint counters.
 
     For every counting constraint ``ci`` the state tracks, in flat lists,
-    ``ct_labels[ci]`` (bit x set when some scope step has label x),
-    ``ct_distinct[ci]`` (the number of those labels) and
-    ``ct_assigned[ci]`` (how many scope steps are assigned).  ``score[s]``
+    ``ct_labels[ci]`` (bit x set when some scope step has label x) and
+    ``ct_room[ci]``: r - distinct for at-most r, and distinct +
+    unassigned - r for at-least r, counted over the scope.  An at-most
+    constraint spends one room on each label new to its scope, an
+    at-least one on each label its scope already uses; a constraint
+    whose room is negative has no satisfying completion.  ``score[s]``
     is the selection score of step s: its not-equals count plus the
-    at-most weights, or -inf once s is assigned.  Each at-most
-    constraint carries a table of score changes indexed by its distinct
-    count, so extend/retract add precomputed deltas.  The trail records
-    which constraints gained the new label, so retract clears exactly
-    those bits.
+    at-most weights, or -inf once s is assigned.  The trail records
+    which constraints gained the new label and which spent room, so
+    retract undoes exactly those.
     """
 
     def __init__(self, instance: WorkflowInstance):
@@ -107,18 +114,11 @@ class SearchState:
         # sums are exact in any order).
         score = [0.0] * k
         ne_other: list[list[int]] = [[] for _ in range(k)]
-        # Counting constraints, indexed densely, with per-step views:
-        # upkeep[s] holds (ci, scope, deltas) for extend/retract, where
-        # deltas[d] is the score change of every scope step when ci's
-        # distinct count goes from d to d + 1 (all zero for at-least);
-        # atmost_of[s] holds (ci, budget) and atleast_of[s] holds
-        # (ci, r - |scope| + 1) for the eligibility rules.
+        # counting[s] holds (ci, at_most, scope) for every counting
+        # constraint ci whose scope contains s.
         self.ct_labels: list[int] = []
-        self.ct_distinct: list[int] = []
-        self.ct_assigned: list[int] = []
-        upkeep: list[list[tuple]] = [[] for _ in range(k)]
-        atmost_of: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-        atleast_of: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+        self.ct_room: list[int] = []
+        counting: list[list[tuple[int, bool, tuple[int, ...]]]] = [[] for _ in range(k)]
         gen_by_step: list[list] = [[] for _ in range(k)]
 
         for c in instance.constraints:
@@ -128,35 +128,23 @@ class SearchState:
                 ne_other[c.s].append(c.t)
                 ne_other[c.t].append(c.s)
             elif isinstance(c, (AtMost, AtLeast)):
-                ci = len(self.ct_labels)
-                self.ct_labels.append(0)
-                self.ct_distinct.append(0)
-                self.ct_assigned.append(0)
+                at_most = isinstance(c, AtMost)
                 scope = tuple(sorted(c.scope))
-                if isinstance(c, AtMost):
-                    deltas = tuple(
-                        _weight(c.r - d - 1) - _weight(c.r - d) for d in range(len(scope))
-                    )
-                    for s in scope:
-                        score[s] += _weight(c.r)
-                        atmost_of[s].append((ci, c.r))
-                else:
-                    deltas = (0.0,) * len(scope)
-                    for s in scope:
-                        atleast_of[s].append((ci, c.r - len(scope) + 1))
+                entry = (len(self.ct_room), at_most, scope)
+                self.ct_labels.append(0)
+                self.ct_room.append(c.r if at_most else len(scope) - c.r)
                 for s in scope:
-                    upkeep[s].append((ci, scope, deltas))
+                    counting[s].append(entry)
+                    if at_most:
+                        score[s] += _weight(c.r)
             else:
                 for s in c.scope:
                     gen_by_step[s].append(c)
         self.ne_other = [tuple(x) for x in ne_other]
-        self._upkeep = [tuple(x) for x in upkeep]
-        self.by_step = [tuple(ci for ci, _, _ in x) for x in upkeep]
-        self._atmost_of = [tuple(x) for x in atmost_of]
-        self._atleast_of = [tuple(x) for x in atleast_of]
+        self._counting = [tuple(x) for x in counting]
         self.gen_by_step = [tuple(x) for x in gen_by_step]
         self.score = score
-        self._trail: list[tuple[int, int, float, list[tuple]]] = []
+        self._trail: list[tuple[int, int, float, list[int], list[tuple]]] = []
         # Eligible-label bitmask per depth, valid while _elig_step[depth]
         # names the step it was computed for.  Reaching a depth by extend
         # clears its entry; retract restores an earlier state exactly, so
@@ -185,43 +173,43 @@ class SearchState:
         score[step] = _ASSIGNED
         bit = 1 << label
         labels = self.ct_labels
-        distinct = self.ct_distinct
-        assigned = self.ct_assigned
-        gained = []
-        for entry in self._upkeep[step]:
-            ci, scope, deltas = entry
-            assigned[ci] += 1
-            used = labels[ci]
-            if not used & bit:
-                labels[ci] = used | bit
-                d = distinct[ci]
-                distinct[ci] = d + 1
-                gained.append(entry)
-                delta = deltas[d]
-                if delta:
+        room = self.ct_room
+        fresh = []
+        spent = []
+        for entry in self._counting[step]:
+            ci, at_most, scope = entry
+            new = not labels[ci] & bit
+            if new:
+                labels[ci] |= bit
+                fresh.append(ci)
+            # At-most spends room on a fresh label, at-least on a reused one.
+            if new == at_most:
+                g = room[ci]
+                room[ci] = g - 1
+                spent.append(entry)
+                if at_most and 0 <= g <= 3:
+                    delta = _SPEND_DELTA[g]
                     for q in scope:
                         score[q] += delta
-        self._trail.append((step, label, saved, gained))
+        self._trail.append((step, label, saved, fresh, spent))
 
     def retract(self) -> None:
-        step, label, saved, gained = self._trail.pop()
-        assigned = self.ct_assigned
-        for ci in self.by_step[step]:
-            assigned[ci] -= 1
-        if gained:
+        step, label, saved, fresh, spent = self._trail.pop()
+        if fresh:
             keep = ~(1 << label)
             labels = self.ct_labels
-            distinct = self.ct_distinct
-            score = self.score
-            for ci, scope, deltas in gained:
+            for ci in fresh:
                 labels[ci] &= keep
-                d = distinct[ci] - 1
-                distinct[ci] = d
-                delta = deltas[d]
-                if delta:
-                    for q in scope:
-                        score[q] -= delta
-        self.score[step] = saved
+        room = self.ct_room
+        score = self.score
+        for ci, at_most, scope in spent:
+            g = room[ci] + 1
+            room[ci] = g
+            if at_most and 0 <= g <= 3:
+                delta = _SPEND_DELTA[g]
+                for q in scope:
+                    score[q] -= delta
+        score[step] = saved
         self.pattern.retract()
 
     # -- extension viability -----------------------------------------------
@@ -233,25 +221,16 @@ class SearchState:
         entries = pattern.entries
         for t in self.ne_other[step]:
             mask &= ~(1 << entries[t])
-        distinct = self.ct_distinct
+        room = self.ct_room
         labels = self.ct_labels
-        # At-most: at the budget only labels the scope already uses fit;
-        # over it nothing does.
-        for ci, budget in self._atmost_of[step]:
-            over = distinct[ci] - budget
-            if over >= 0:
-                if over:
+        # With no room left a label may not spend any: at-most keeps the
+        # labels its scope uses, at-least the ones it does not.
+        for ci, at_most, _ in self._counting[step]:
+            r = room[ci]
+            if r <= 0:
+                if r:
                     return 0
-                mask &= labels[ci]
-        # At-least: ``short`` counts the labels still needed beyond one per
-        # other unassigned scope step; one short forces a fresh label.
-        assigned = self.ct_assigned
-        for ci, need in self._atleast_of[step]:
-            short = need - distinct[ci] + assigned[ci]
-            if short > 0:
-                if short > 1:
-                    return 0
-                mask &= ~labels[ci]
+                mask &= labels[ci] if at_most else ~labels[ci]
         return mask
 
     def extension_eligible(self, step: int, label: int) -> bool:

@@ -365,6 +365,9 @@ _BAD_INPUTS = {
     # A user index near 10**18 and one auth line.
     "absurd": "wsp 1 1000000000000000000\nauth 999999999999999999 0\n".encode(),
     "binary": b"\xff\xfewsp 1 1\n",
+    # Step counts whose masks cannot be allocated: MemoryError, OverflowError.
+    "huge_k": b"wsp 1000000000000000000 1\nauth 0 0\n",
+    "huger_k": b"wsp 100000000000000000000 1\nauth 0 0\n",
     # Instance rows without their optional counters summarise fine.
     "bare_csv": (_BENCH_HEADER + "instance,k5-a,5,,,0,sat,3,,,,\n").encode(),
     # A rate row that disagrees with its instance row.
@@ -381,12 +384,17 @@ _BAD_INPUTS = {
         (("solve", "{binary}"), 2),
         (("enumerate", "{binary}"), 2),
         (("oracle", "{binary}"), 2),
+        (("solve", "{huge_k}"), 2),
+        (("enumerate", "{huge_k}"), 2),
+        (("solve", "{huger_k}"), 2),
+        (("enumerate", "{huger_k}"), 2),
         (("solve", "{dir}"), 2),
         (("enumerate", "{dir}"), 2),
         (("oracle", "{dir}"), 2),
         (("generate", "--suite", "k=5,5 d=10 c=1k seeds=0", "--out-dir", "{dir}"), 2),
         (("generate", "-k", "5", "-e", "1", "--out", "{dir}"), 2),
         (("bench", "--suite", "k=5 d=10 c=1k seeds=0,0"), 2),
+        (("bench", "--suite", "k=5 d=10 c=1k seeds=0..100000000000000000000"), 2),
         (("bench", "--summarize", "{binary}"), 2),
         (("bench", "--summarize", "{dir}"), 2),
         (("bench", "--summarize", "{bare_csv}"), 0),

@@ -154,6 +154,18 @@ _OPS = st.lists(
     full_auth(3, 3, [AtMost(1, frozenset({0, 1, 2}))]),
     [(0, 0, 0, False), (0, 1, 0, False), (0, 0, 0, False)],
 )
+# Steps 0 and 1 share a label, which uses up the at-least scope's room:
+# step 2 must then take a label the scope does not use yet.
+@example(
+    full_auth(3, 3, [AtLeast(2, frozenset({0, 1, 2}))]),
+    [(0, 0, 0, False), (0, 0, 0, False), (0, 0, 0, False)],
+)
+# The same reuse leaves an at-least bound of three short: step 2 may then
+# take no label at all.
+@example(
+    full_auth(3, 3, [AtLeast(3, frozenset({0, 1, 2}))]),
+    [(0, 0, 0, False), (0, 0, 0, False), (0, 0, 0, False)],
+)
 @settings(max_examples=80)
 def test_extension_eligible_matches_constraint_checks(inst, ops):
     state = SearchState(inst)
@@ -190,8 +202,7 @@ def test_search_state_counters_survive_retract(inst, data):
     def snapshot():
         return (
             list(state.ct_labels),
-            list(state.ct_distinct),
-            list(state.ct_assigned),
+            list(state.ct_room),
             list(state.score),
             list(pattern.entries),
             list(pattern.block_masks),
