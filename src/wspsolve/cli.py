@@ -112,7 +112,10 @@ def parse_suite(text: str) -> SuiteSpec:
     seeds_text = parts["seeds"]
     if ".." in seeds_text:
         lo, hi = seeds_text.split("..", 1)
-        seeds = tuple(range(int(lo), int(hi) + 1))
+        try:
+            seeds = tuple(range(int(lo), int(hi) + 1))
+        except (MemoryError, OverflowError):
+            raise ValueError(f"suite seeds range {seeds_text!r} is too large") from None
     else:
         seeds = tuple(int(x) for x in seeds_text.split(","))
     if not (ks and mults and seeds):

@@ -46,9 +46,15 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), unbiased via rejection."""
+        """Uniform integer in [0, bound), unbiased via rejection.
+
+        One 64-bit draw covers at most 2**64 values, so a larger bound
+        raises ValueError.
+        """
         if bound <= 0:
             raise ValueError("bound must be positive")
+        if bound > _MASK64 + 1:
+            raise ValueError(f"bound {bound} exceeds 2**64")
         limit = _MASK64 + 1 - ((_MASK64 + 1) % bound)
         while True:
             x = self.next_u64()

@@ -5,8 +5,8 @@ bipartite graph pairing its blocks with the users authorised for every
 step of the block has a matching that covers all blocks.  The solver
 hands ``match_blocks`` one user bitmask per block (the pattern's cached
 block intersections) and turns the returned users into the witness
-plan.  The matcher grows a matching one block at a time with augmenting
-paths; as soon as one block admits no augmenting path the maximum
+plan.  The matcher grows a matching one block at a time, taking the
+vertices in index order, with augmenting paths; as soon as one block admits no augmenting path the maximum
 matching can never cover all blocks, so the search aborts immediately.
 """
 
@@ -15,11 +15,11 @@ from __future__ import annotations
 from typing import Sequence
 
 
-def match_blocks(adjacency: Sequence[int], order: Sequence[int]) -> list[int] | None:
+def match_blocks(adjacency: Sequence[int]) -> list[int] | None:
     """Cover every left vertex with a matching, or report failure.
 
     ``adjacency[i]`` is the user bitmask of left vertex i; vertices are
-    processed in ``order``.  Returns user indices per left vertex, or
+    processed in index order.  Returns user indices per left vertex, or
     None as soon as some vertex has no augmenting path (at that point no
     matching can cover all vertices, so the remaining vertices are never
     examined).
@@ -31,7 +31,7 @@ def match_blocks(adjacency: Sequence[int], order: Sequence[int]) -> list[int] | 
     user_of = [-1] * len(adjacency)
     owner: dict[int, int] = {}  # user -> left vertex currently matched
     matched_mask = 0
-    for root in order:
+    for root in range(len(adjacency)):
         # path[j] = [vertex, users it has yet to try, user it is trying];
         # the vertex on top either takes a free user or tries to take an
         # unvisited one from its owner, who then goes on top.

@@ -228,7 +228,7 @@ def _parse_int(tok: str, line_no: int, what: str) -> int:
 
 def parse_instance(text: str) -> WorkflowInstance:
     """Parse the instance file format; raises ParseError with a line number."""
-    step_count = user_count = -1
+    step_count = user_count = header_line = -1
     steps_of: dict[UserId, list[StepId]] = {}
     constraints: list[UserIndependentConstraint] = []
 
@@ -250,6 +250,7 @@ def parse_instance(text: str) -> WorkflowInstance:
                 raise ParseError(line_no, "header must be: wsp <steps> <users>")
             step_count = _parse_int(args[0], line_no, "step count")
             user_count = _parse_int(args[1], line_no, "user count")
+            header_line = line_no
             if step_count < 1 or user_count < 1:
                 raise ParseError(line_no, "step and user counts must be positive")
             continue
@@ -293,7 +294,12 @@ def parse_instance(text: str) -> WorkflowInstance:
     if len(steps_of) < user_count:
         missing = next(u for u in range(user_count) if u not in steps_of)
         raise ParseError(len(text.splitlines()) or 1, f"missing auth line for user {missing}")
-    auth = AuthorisationLists.from_user_steps(step_count, (steps_of[u] for u in range(user_count)))
+    try:
+        auth = AuthorisationLists.from_user_steps(step_count, (steps_of[u] for u in range(user_count)))
+    except (MemoryError, OverflowError):
+        # One mask per step: the steps need no line of their own, so only
+        # the allocation can tell that the count is too large.
+        raise ParseError(header_line, f"step count {step_count} is too large") from None
     return WorkflowInstance(step_count, user_count, auth, tuple(constraints))
 
 

@@ -54,13 +54,13 @@ class Pattern:
     The search mutates a single pattern in place: ``extend`` assigns a
     step, ``retract`` undoes the most recent assignment.
     ``step_user_masks`` gives each step's authorised users as a bitmask.
-    Two public lists, indexed by label (index 0 unused), describe the
-    blocks: ``block_sizes[x]`` counts the steps labelled ``x`` and
-    ``block_masks[x]`` is the intersection of their user masks, i.e.
-    the users who may perform the whole block.  The previous
-    intersection is saved on a trail, so retraction is a pointer swap.
-    Memory stays O(steps * users): one entry array, one size and one
-    intersection mask per label, and a trail of at most k frames.
+    One public list, indexed by label (index 0 unused), describes the
+    blocks: ``block_masks[x]`` is the intersection of the user masks of
+    the steps labelled ``x``, i.e. the users who may perform the whole
+    block.  The previous intersection and ``max_label`` are saved on a
+    trail, so retraction is a pointer swap.  Memory stays
+    O(steps * users): one entry array, one intersection mask per label,
+    and a trail of at most k frames.
     """
 
     __slots__ = (
@@ -68,7 +68,6 @@ class Pattern:
         "entries",
         "max_label",
         "assigned_count",
-        "block_sizes",
         "block_masks",
         "_auth",
         "_trail",
@@ -81,10 +80,9 @@ class Pattern:
         self.entries: list[int] = [0] * step_count
         self.max_label = 0
         self.assigned_count = 0
-        self.block_sizes: list[int] = [0] * (step_count + 1)
         self.block_masks: list[int] = [0] * (step_count + 1)
         self._auth = step_user_masks
-        self._trail: list[tuple[int, int, int]] = []
+        self._trail: list[tuple[int, int, int, int]] = []
 
     def extension_user_mask(self, step: int, label: int) -> int:
         """Intersection the block would have after extend(step, label)."""
@@ -105,24 +103,21 @@ class Pattern:
                 f"label {label} out of range 1..{self.max_label + 1}"
             )
         prev_mask = self.block_masks[label]
+        prev_max = self.max_label
         self.entries[step] = label
-        self.block_sizes[label] += 1
         self.assigned_count += 1
-        if label > self.max_label:
+        if label > prev_max:
             self.max_label = label
             self.block_masks[label] = self._auth[step]
         else:
             self.block_masks[label] = prev_mask & self._auth[step]
-        self._trail.append((step, label, prev_mask))
+        self._trail.append((step, label, prev_mask, prev_max))
 
     def retract(self) -> None:
         """Undo the most recent extend."""
         if not self._trail:
             raise ValueError("nothing to retract")
-        step, label, prev_mask = self._trail.pop()
+        step, label, prev_mask, self.max_label = self._trail.pop()
         self.entries[step] = 0
-        self.block_sizes[label] -= 1
         self.assigned_count -= 1
-        if self.block_sizes[label] == 0:
-            self.max_label = label - 1
         self.block_masks[label] = prev_mask

@@ -12,9 +12,10 @@ same grouping twice.  Two prunes cut the tree:
   can repair.
 
 A complete pattern is then realisable exactly when the block/user graph
-has a matching covering every block; the matcher supplies the witness
-plan.  Steps are selected by a weighted count of the constraints
-pressing on them, so nearly-saturated at-most scopes are grouped early.
+has a matching covering every block; the matcher tries the blocks in
+label order and supplies the witness plan.  Steps are selected by a
+weighted count of the constraints pressing on them, so
+nearly-saturated at-most scopes are grouped early.
 
 The walk is one loop over an explicit stack, one frame per depth
 holding the chosen step and the next label to try, so the depth of the
@@ -274,7 +275,6 @@ def _search(
     auth = state.instance.auth.step_user_masks
     entries = pattern.entries
     block_masks = pattern.block_masks
-    block_sizes = pattern.block_sizes
     extend = state.extend
     retract = state.retract
     select_step = state.select_step
@@ -317,10 +317,7 @@ def _search(
             # A complete pattern: decide it by one block/user matching.
             if prune or all(c.satisfied_by(entries) for c in constraints):
                 matchings += 1
-                m = pattern.max_label
-                # Largest blocks first; the sort is stable, so ties keep label order.
-                order = sorted(range(m), key=lambda i: -block_sizes[i + 1])
-                user_of = match_blocks(block_masks[1 : m + 1], order)
+                user_of = match_blocks(block_masks[1 : pattern.max_label + 1])
                 if user_of is not None:
                     matchings_full += 1
                     plan = {s: user_of[entries[s] - 1] for s in range(k)}

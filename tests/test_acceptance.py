@@ -203,7 +203,7 @@ def test_criterion_4_matching_is_trustworthy():
         k = rnd.randint(1, 10)
         n = rnd.randint(1, 100)
         adjacency = tuple(rnd.getrandbits(n) for _ in range(k))
-        got = match_blocks(adjacency, range(k))
+        got = match_blocks(adjacency)
         ref_size = reference_max_matching(
             [{u for u in range(n) if m >> u & 1} for m in adjacency]
         )

@@ -374,6 +374,17 @@ _BAD_INPUTS = {
     "bad_rate": (_BENCH_HEADER + "instance,k5-a,5,,,0,sat,3,,,,\nrate,k5,5,,,,,,,,,0.5\n").encode(),
 }
 
+_HUGE_SEEDS = "k=5 d=10 c=1k seeds=0..100000000000000000000"
+
+# An oversize number's error line names the field it was read from.
+_ERROR_LINES = {
+    ("solve", "{huge_k}"): "error: line 1: step count 1000000000000000000 is too large",
+    ("enumerate", "{huge_k}"): "error: line 1: step count 1000000000000000000 is too large",
+    ("solve", "{huger_k}"): "error: line 1: step count 100000000000000000000 is too large",
+    ("enumerate", "{huger_k}"): "error: line 1: step count 100000000000000000000 is too large",
+    ("bench", "--suite", _HUGE_SEEDS): "error: suite seeds range '0..100000000000000000000' is too large",
+}
+
 
 @pytest.mark.parametrize(
     "argv, expected",
@@ -394,7 +405,10 @@ _BAD_INPUTS = {
         (("generate", "--suite", "k=5,5 d=10 c=1k seeds=0", "--out-dir", "{dir}"), 2),
         (("generate", "-k", "5", "-e", "1", "--out", "{dir}"), 2),
         (("bench", "--suite", "k=5 d=10 c=1k seeds=0,0"), 2),
-        (("bench", "--suite", "k=5 d=10 c=1k seeds=0..100000000000000000000"), 2),
+        (("bench", "--suite", _HUGE_SEEDS), 2),
+        # Over 2**65 steps: each user's step count has more than 2**64 values to draw from.
+        (("generate", "-k", "73786976294838206466", "-e", "0"), 2),
+        (("bench", "--suite", "k=100000000000000000000 d=10 c=1k seeds=0"), 2),
         (("bench", "--summarize", "{binary}"), 2),
         (("bench", "--summarize", "{dir}"), 2),
         (("bench", "--summarize", "{bare_csv}"), 0),
@@ -411,7 +425,9 @@ def test_exit_code_contract(tmp_path, capsys, argv, expected):
     code = run_cli(*(arg.format_map(paths) for arg in argv))
     assert code in (0, 20, 21, 2)
     assert code == expected
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert _ERROR_LINES.get(argv, "") in err
 
 
 # --- module entry point ------------------------------------------------------

@@ -49,6 +49,14 @@ def test_below_stays_in_bounds():
         r.below(0)
 
 
+def test_below_takes_bounds_up_to_two_to_the_64():
+    r = SplitMix64(42)
+    assert 0 <= r.below(2**64) < 2**64
+    # One 64-bit draw cannot cover more values; rejection would never end.
+    with pytest.raises(ValueError):
+        r.below(2**64 + 1)
+
+
 def test_take_prefixes():
     r = SplitMix64(7)
     assert r.take([3, 1, 4], 0) == []

@@ -68,11 +68,12 @@ def perfbench_run(monkeypatch):
     return run
 
 
-@pytest.mark.parametrize("workload", ["scarce-users", "enumerate", "wide-users"])
+@pytest.mark.parametrize("workload", ["paper-k30", "scarce-users", "enumerate", "wide-users"])
 def test_benchmark_toy_run_checks_out(workload, perfbench_run):
     """The benchmark's own toy-size run, as ``perfbench/selftest.py`` makes
     it: a change to the model's public shape that breaks the benchmark
-    fails here.  ``paper-k30`` is left to the self-test, being slower."""
+    fails here, and every sat witness, k=30 ones included, must pass
+    ``validate_plan`` and the verdict and pattern-count pins."""
     result, about = perfbench_run.run(workload, 1, 0.0, False, scale=10)
     assert result["correct"] and result["failed"] == 0, about["problems"]
 

@@ -89,14 +89,12 @@ def test_pattern_extend_retract_lifecycle():
     pat.extend(1, 2)
     assert pat.entries == [2, 2, 1, 0]
     assert pat.max_label == 2
-    assert pat.block_sizes[1:3] == [1, 2]
     pat.extend(3, 3)
     assert pat.assigned_count == pat.step_count
     pat.retract()
     pat.retract()
     assert pat.entries == [2, 0, 1, 0]
     assert pat.max_label == 2
-    assert pat.block_sizes[1:4] == [1, 1, 0]
     pat.retract()
     assert pat.entries == [0, 0, 1, 0]
     assert pat.max_label == 1
@@ -169,9 +167,10 @@ def test_pattern_tracks_encode_under_random_walks(data):
             [plan.get(s, 0) for s in range(k)], order=history
         )
         assert pat.assigned_count == len(plan)
+        assert pat.max_label == max(pat.entries, default=0)
         for lab in range(1, pat.max_label + 1):
             members = [s for s in range(k) if pat.entries[s] == lab]
-            assert pat.block_sizes[lab] == len(members)
+            assert members
             expect = masks[members[0]]
             for s in members[1:]:
                 expect &= masks[s]

@@ -206,7 +206,6 @@ def test_search_state_counters_survive_retract(inst, data):
             list(state.score),
             list(pattern.entries),
             list(pattern.block_masks),
-            list(pattern.block_sizes),
             pattern.max_label,
         )
 
