@@ -29,11 +29,13 @@ from .model import (
     TIMEOUT,
     UNSAT,
     SearchStats,
+    Valid,
     WorkflowInstance,
     format_solution,
     parse_instance,
     preprocess,
     serialize_instance,
+    validate_plan,
 )
 from .oracle import DEFAULT_PLAN_BUDGET, oracle_solve
 from .pattern import encode
@@ -315,7 +317,13 @@ def cmd_solve(args) -> int:
     pre = preprocess(instance)
     limit = None if args.time_limit is None else parse_duration(args.time_limit)
     outcome = solve(pre.instance, time_limit=limit)
-    plan = pre.expand_plan(outcome.plan) if outcome.plan is not None else None
+    plan = None
+    if outcome.plan is not None:
+        plan = pre.expand_plan(outcome.plan)
+        # The witness is checked on the instance as read, before printing.
+        verdict = validate_plan(instance, plan)
+        if not isinstance(verdict, Valid):
+            raise ValueError(f"solver returned an invalid plan: {verdict}")
     text = format_solution(outcome.status, plan)
     if args.out:
         Path(args.out).write_text(text)

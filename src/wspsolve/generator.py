@@ -105,6 +105,9 @@ class GeneratorConfig:
         k = self.step_count
         if k < 1:
             raise ValueError("need at least one step")
+        if k > _MASK64 + 1:
+            # Drawing a subset of the steps picks one of k steps at a time.
+            raise ValueError(f"step count {k} exceeds 2**64, the most one draw can pick from")
         if not 0 <= self.not_equals <= k * (k - 1) // 2:
             raise ValueError("not-equals count exceeds the number of step pairs")
         if self.counting < 0:

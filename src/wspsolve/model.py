@@ -183,13 +183,14 @@ class SearchStats:
     nodes: int = 0
     auth_prunes: int = 0
     eligibility_prunes: int = 0
+    matching_prunes: int = 0
     matchings: int = 0
     matchings_full: int = 0
     wall_time: float = 0.0
 
     @property
     def prunes(self) -> int:
-        return self.auth_prunes + self.eligibility_prunes
+        return self.auth_prunes + self.eligibility_prunes + self.matching_prunes
 
 
 SAT = "sat"

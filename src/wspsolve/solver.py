@@ -3,19 +3,31 @@
 The search assigns one step per level.  Assigning a step either reuses
 an existing block label or opens one fresh block, so the tree below the
 empty pattern enumerates set partitions of the steps, never visiting the
-same grouping twice.  Two prunes cut the tree:
+same grouping twice.  Three prunes cut the tree:
 
 * authorisation: a block whose members share no authorised user can
-  never be realised, so the extension is rejected outright, and
+  never be realised, so the extension is rejected outright,
 * eligibility: each constraint is re-checked incrementally whenever a
   step of its scope is assigned, rejecting extensions no completion
-  can repair.
+  can repair, and
+* matching: the blocks of a partial pattern must have a block/user
+  matching that covers them all.  Adding a step only shrinks its
+  block's users and opening a block only adds a vertex, so a partial
+  pattern without one has no realisable completion (Hall's theorem).
+
+The matching prune keeps one held block -> user matching in the walk's
+locals, beside the chosen steps, with a per-depth trail that the
+backtrack restores.  An extension keeps the block's user when it stays
+authorised, or takes the lowest free user of the block, and only when
+neither works runs one augmenting path (``matching.augment``); with no
+path, the branch is cut.
 
 A complete pattern is then realisable exactly when the block/user graph
 has a matching covering every block; the matcher tries the blocks in
-label order and supplies the witness plan.  Steps are selected by a
-weighted count of the constraints pressing on them, so
-nearly-saturated at-most scopes are grouped early.
+label order and supplies the witness plan, so with the prunes on every
+leaf reached is realisable.  Steps are selected by a weighted count of
+the constraints pressing on them, so nearly-saturated at-most scopes are
+grouped early.
 
 The walk is one loop over an explicit stack, one frame per depth
 holding the chosen step and the next label to try, so the depth of the
@@ -38,7 +50,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .constraints import AtLeast, AtMost, BindingOfDuty, NotEquals
-from .matching import match_blocks
+from .matching import augment, match_blocks
 from .model import (
     SAT,
     TIMEOUT,
@@ -281,9 +293,21 @@ def _search(
     eligible = state.extension_eligible
     clock = time.perf_counter
     nodes = 1  # the root
-    auth_prunes = eligibility_prunes = matchings = matchings_full = 0
+    auth_prunes = eligibility_prunes = matching_prunes = matchings = matchings_full = 0
     steps = [0] * k  # the step chosen at each depth
-    next_label = [1] * k  # the next label to try there
+    # The next label to try at each depth; depth k, a complete pattern,
+    # has none, so the walk backs out of it like an exhausted depth.
+    next_label = [1] * k + [k + 2]
+    # The held block -> user matching of the pruned walk: held[x] is the
+    # user bit of label x (0 while the label is unused), matched their
+    # union.  undo[d] is 0 when depth d's extension kept the matching,
+    # the old user bit xor the new one when its block took a free user,
+    # or -1 after an augmenting path, with (matched, held) before it in
+    # rematched[d].
+    held = [0] * (k + 1)
+    matched = 0
+    undo = [0] * k
+    rematched: list = [None] * k
     try:
         if deadline is not None and clock() >= deadline:
             raise _Timeout
@@ -291,26 +315,58 @@ def _search(
         steps[0] = select_step()
         while depth >= 0:
             x = next_label[depth]
-            if x > pattern.max_label + 1:
+            top = pattern.max_label + 1
+            if x > top:
                 depth -= 1
                 if depth >= 0:
                     retract()
+                    d = undo[depth]
+                    if d > 0:
+                        held[next_label[depth] - 1] ^= d
+                        matched ^= d
+                    elif d:
+                        matched, held = rematched[depth]
                 continue
             next_label[depth] = x + 1
             step = steps[depth]
             if prune:
-                if not (auth[step] if x > pattern.max_label else block_masks[x] & auth[step]):
+                m = auth[step] if x == top else block_masks[x] & auth[step]
+                if not m:
                     auth_prunes += 1
                     continue
                 if not eligible(step, x):
                     eligibility_prunes += 1
                     continue
+                h = held[x]
+                # Keep a matching that covers every block: the block keeps
+                # its user, or takes a free one, or one augmenting path
+                # re-matches it; failing that, no completion is realisable.
+                if m & h:
+                    undo[depth] = 0
+                else:
+                    # The free users m & ~matched, without building ~matched.
+                    free = m ^ (m & matched)
+                    if free:
+                        low = free & -free
+                        held[x] = low
+                        d = h ^ low
+                        matched ^= d
+                        undo[depth] = d
+                    else:
+                        saved = held[:]
+                        rematch = augment(block_masks, held, matched ^ h, x, m)
+                        if rematch < 0:
+                            matching_prunes += 1
+                            continue
+                        rematched[depth] = matched, saved
+                        matched = rematch
+                        undo[depth] = -1
             extend(step, x)
             nodes += 1
             if (nodes & _TIMEOUT_MASK) == 1 and deadline is not None and clock() >= deadline:
                 raise _Timeout
-            if depth + 1 < k:
-                depth += 1
+            depth += 1
+            if depth < k:
                 steps[depth] = select_step()
                 next_label[depth] = 1
                 continue
@@ -322,11 +378,11 @@ def _search(
                     matchings_full += 1
                     plan = {s: user_of[entries[s] - 1] for s in range(k)}
                     yield canonicalize(entries), plan
-            retract()
     finally:
         stats.nodes = nodes
         stats.auth_prunes = auth_prunes
         stats.eligibility_prunes = eligibility_prunes
+        stats.matching_prunes = matching_prunes
         stats.matchings = matchings
         stats.matchings_full = matchings_full
 
@@ -380,12 +436,12 @@ def solve(
 
     ``time_limit`` is wall-clock seconds; on expiry the outcome status
     is timeout, and a limit of zero or less times out at once.  A NaN
-    limit raises ValueError.  ``prune=False`` disables the authorisation
-    and eligibility prunes and the root checks: every complete pattern is
-    then reached, and each constraint's ``satisfied_by`` decides it
-    before the matching runs.  This never changes the verdict.  The
-    instance must already be preprocessed, i.e. free of binding-of-duty
-    constraints.
+    limit raises ValueError.  ``prune=False`` disables the authorisation,
+    eligibility and matching prunes and the root checks: every complete
+    pattern is then reached, and each constraint's ``satisfied_by``
+    decides it before the matching runs.  This never changes the
+    verdict.  The instance must already be preprocessed, i.e. free of
+    binding-of-duty constraints.
     """
     found, stats, timed_out = _drive(instance, time_limit, prune, 1)
     status = TIMEOUT if timed_out else SAT if found else UNSAT

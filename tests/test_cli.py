@@ -111,10 +111,24 @@ def test_solve_stats_on_stderr(golden_path, capsys):
         "nodes",
         "auth_prunes",
         "eligibility_prunes",
+        "matching_prunes",
         "matchings",
         "matchings_full",
         "wall_ms",
     }
+
+
+def test_solve_rejects_an_invalid_witness(golden_path, monkeypatch, capsys):
+    # A solver bug that hands back a broken plan must not print "sat".
+    def broken_solve(instance, time_limit=None):
+        plan = dict.fromkeys(range(instance.step_count), 1)  # user 1 for every step
+        return wspsolve.SolveOutcome(wspsolve.SAT, plan, wspsolve.SearchStats())
+
+    monkeypatch.setattr(wspsolve.cli, "solve", broken_solve)
+    assert run_cli("solve", golden_path) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: solver returned an invalid plan")
 
 
 def test_solve_deep_instance(tmp_path, capsys):
@@ -383,6 +397,11 @@ _ERROR_LINES = {
     ("solve", "{huger_k}"): "error: line 1: step count 100000000000000000000 is too large",
     ("enumerate", "{huger_k}"): "error: line 1: step count 100000000000000000000 is too large",
     ("bench", "--suite", _HUGE_SEEDS): "error: suite seeds range '0..100000000000000000000' is too large",
+    ("generate", "-k", "73786976294838206466", "-e", "0"): "error: step count 73786976294838206466 exceeds 2**64",
+    ("generate", "-k", "18446744073709551617", "-e", "0"): "error: step count 18446744073709551617 exceeds 2**64",
+    ("bench", "--suite", "k=100000000000000000000 d=10 c=1k seeds=0"): (
+        "error: step count 100000000000000000000 exceeds 2**64"
+    ),
 }
 
 
@@ -406,8 +425,9 @@ _ERROR_LINES = {
         (("generate", "-k", "5", "-e", "1", "--out", "{dir}"), 2),
         (("bench", "--suite", "k=5 d=10 c=1k seeds=0,0"), 2),
         (("bench", "--suite", _HUGE_SEEDS), 2),
-        # Over 2**65 steps: each user's step count has more than 2**64 values to draw from.
+        # Over 2**64 steps: one draw cannot pick among them.
         (("generate", "-k", "73786976294838206466", "-e", "0"), 2),
+        (("generate", "-k", "18446744073709551617", "-e", "0"), 2),
         (("bench", "--suite", "k=100000000000000000000 d=10 c=1k seeds=0"), 2),
         (("bench", "--summarize", "{binary}"), 2),
         (("bench", "--summarize", "{dir}"), 2),

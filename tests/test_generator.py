@@ -107,6 +107,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GeneratorConfig(5, 2, 1, seed=1, users=0)
     assert GeneratorConfig(5, 2, 1, seed=1).user_count == 50
+    # A subset draw picks one of the k steps at a time, and one 64-bit
+    # draw covers at most 2**64 values.
+    assert GeneratorConfig(2**64, 0, 0, seed=1).step_count == 2**64
+    with pytest.raises(ValueError, match="step count 18446744073709551617 exceeds 2"):
+        GeneratorConfig(2**64 + 1, 0, 0, seed=1)
     assert GeneratorConfig(5, 2, 1, seed=1, users=9).user_count == 9
 
 

@@ -20,6 +20,7 @@ from wspsolve import (
     solve_enumerating,
     validate_plan,
 )
+from wspsolve.matching import augment
 
 
 def pattern_of(entries, masks) -> Pattern:
@@ -105,6 +106,47 @@ def test_match_blocks_agrees_with_reference_on_random_graphs():
             assert all(adjacency[i] >> u & 1 for i, u in enumerate(got))
         else:
             assert got is None
+
+
+def test_augment_agrees_with_reference_on_random_held_matchings():
+    """One augmenting path from a new vertex exists exactly when the held
+    vertices plus that vertex have a matching one larger, and on success
+    the held vertices stay matched, each to its own authorised user."""
+    rnd = random.Random(0xB10C)
+    for _ in range(400):
+        k = rnd.randint(1, 10)
+        n = rnd.randint(1, 12)
+        adjacency = [rnd.getrandbits(n) for _ in range(k)]
+        # Grow a held matching greedily over a random subset of the vertices.
+        held = [0] * k
+        matched = 0
+        for i in rnd.sample(range(k), rnd.randint(0, k)):
+            free = adjacency[i] & ~matched
+            if free:
+                bit = 1 << rnd.choice(sorted(mask_to_set(free)))
+                held[i] = bit
+                matched |= bit
+        unheld = [i for i in range(k) if not held[i]]
+        if not unheld:
+            continue
+        root = rnd.choice(unheld)
+        mask = adjacency[root]
+        # The root may still hold a user it gave back, outside ``matched``.
+        if rnd.random() < 0.5 and ~matched & ((1 << n) - 1):
+            held[root] = 1 << rnd.choice(sorted(mask_to_set(~matched & ((1 << n) - 1))))
+        vertices = [i for i in range(k) if held[i] & matched] + [root]
+        ref = reference_max_matching([mask_to_set(adjacency[i]) for i in vertices])
+        before = list(held)
+        got = augment(adjacency, held, matched, root, mask)
+        if ref == len(vertices):
+            assert got == sum(held[i] for i in vertices)
+            assert len({held[i] for i in vertices}) == len(vertices)
+            assert all(held[i] & adjacency[i] for i in vertices)
+            assert held[root] & mask
+            assert all(held[i] == before[i] for i in range(k) if i not in vertices)
+        else:
+            assert got == -1
+            assert held == before
 
 
 # --- the matching test decides pattern realisability -------------------------

@@ -295,6 +295,19 @@ def test_unconstrained_enumeration_reaches_every_partition(k):
 
 @given(instances(max_steps=5, max_users=6, allow_bod=False))
 @example(full_auth(3, 3, [NotEquals(0, 1)]))
+# Fewer users than steps, so the held block/user matching cuts branches:
+# a third block finds no user left.
+@example(full_auth(4, 2, [NotEquals(0, 1)]))
+# Step 1 opens a block whose only user block 1 holds; an augmenting path
+# moves block 1 to user 1.  Step 2 then shows the cut of a failing path.
+@example(make_instance(3, 2, [{0, 1}, {0}, {1}], [NotEquals(0, 1)]))
+# Step 1 joins block 1 without its user, so the block gives user 0 back
+# for user 1, and a fresh block for step 2 can then take user 0.
+@example(make_instance(3, 2, [{0, 1}, {1}, {0, 1}]))
+# Steps 0 and 1 must differ but share their only user: unsat.
+@example(make_instance(4, 3, [{0}, {0}, {1, 2}, {1, 2}], [NotEquals(0, 1)]))
+# Five steps need four distinct users out of three.
+@example(full_auth(5, 3, [AtLeast(4, frozenset(range(5)))]))
 @settings(max_examples=60)
 def test_disabling_prunes_changes_nothing_but_work(inst):
     gated = solve(inst)
@@ -302,11 +315,26 @@ def test_disabling_prunes_changes_nothing_but_work(inst):
     assert gated.status == ungated.status
     assert ungated.stats.nodes >= gated.stats.nodes
     assert ungated.stats.prunes == 0
+    # Every leaf the pruned search reaches has a covering matching.
+    assert gated.stats.matchings_full == gated.stats.matchings
     if gated.is_sat:
+        assert validate_plan(inst, gated.plan) == Valid()
         assert validate_plan(inst, ungated.plan) == Valid()
     both = solve_enumerating(inst), solve_enumerating(inst, prune=False)
     assert set(both[0].patterns) == set(both[1].patterns)
+    assert both[0].stats.matchings_full == both[0].stats.matchings
     assert both[1].stats.prunes == 0
+    for plan in both[0].plans + both[1].plans:
+        assert validate_plan(inst, plan) == Valid()
+
+
+def test_matching_prune_decides_one_user_instance_at_once():
+    # One user, so only the single-block pattern is realisable, but a
+    # not-equals pair forbids it: the second block finds no user.
+    out = solve(full_auth(14, 1, [NotEquals(0, 1)]))
+    assert out.status == UNSAT
+    assert out.stats.matching_prunes >= 1
+    assert out.stats.nodes <= 4
 
 
 # --- determinism -------------------------------------------------------------
@@ -329,10 +357,11 @@ def test_repeat_solves_are_identical():
 
 
 def hard_unsat_instance(k: int) -> WorkflowInstance:
-    # One user, so only the single-block pattern is realisable, but a
-    # not-equals pair forbids it: the search walks a huge pattern space
-    # with every matching failing.
-    return full_auth(k, 1, [NotEquals(0, 1)])
+    # Seven users, but the steps must use at least eight of them.  The
+    # eligibility prune forces fresh blocks only once the scope's room is
+    # spent and the matching prune cuts only the eighth block, so the
+    # search still walks the many patterns of at most seven blocks.
+    return full_auth(k, 7, [AtLeast(8, frozenset(range(k)))])
 
 
 def test_zero_time_limit_times_out_immediately():
@@ -388,7 +417,7 @@ def test_generous_deadline_does_not_interfere(golden_instance):
 def test_stats_accounting(golden_instance):
     out = solve(preprocess(golden_instance).instance)
     s = out.stats
-    assert s.prunes == s.auth_prunes + s.eligibility_prunes
+    assert s.prunes == s.auth_prunes + s.eligibility_prunes + s.matching_prunes
     assert 0 <= s.matchings_full <= s.matchings
     assert s.matchings <= s.nodes
 
