@@ -28,6 +28,8 @@ from .model import (
     SAT,
     TIMEOUT,
     UNSAT,
+    Plan,
+    PreprocessResult,
     SearchStats,
     Valid,
     WorkflowInstance,
@@ -312,18 +314,21 @@ def _emit_stats(stats: SearchStats, status: str) -> None:
         print(f"{key}={value}", file=sys.stderr)
 
 
+def _checked_plan(instance: WorkflowInstance, pre: PreprocessResult, plan: Plan) -> Plan:
+    """The solver's witness on the instance as read, checked before printing."""
+    expanded = pre.expand_plan(plan)
+    verdict = validate_plan(instance, expanded)
+    if not isinstance(verdict, Valid):
+        raise ValueError(f"solver returned an invalid plan: {verdict}")
+    return expanded
+
+
 def cmd_solve(args) -> int:
     instance = _read_instance(args.instance)
     pre = preprocess(instance)
     limit = None if args.time_limit is None else parse_duration(args.time_limit)
     outcome = solve(pre.instance, time_limit=limit)
-    plan = None
-    if outcome.plan is not None:
-        plan = pre.expand_plan(outcome.plan)
-        # The witness is checked on the instance as read, before printing.
-        verdict = validate_plan(instance, plan)
-        if not isinstance(verdict, Valid):
-            raise ValueError(f"solver returned an invalid plan: {verdict}")
+    plan = None if outcome.plan is None else _checked_plan(instance, pre, outcome.plan)
     text = format_solution(outcome.status, plan)
     if args.out:
         Path(args.out).write_text(text)
@@ -372,6 +377,9 @@ def cmd_enumerate(args) -> int:
         print("timeout")
     else:
         status = SAT if result.count else UNSAT
+        # Every witness is checked before anything is printed.
+        for plan in result.plans:
+            _checked_plan(instance, pre, plan)
         print(f"patterns {result.count}")
         for plan in result.plans:
             expanded = pre.expand_plan(plan)

@@ -30,22 +30,11 @@ def encode(plan: Mapping[int, int], step_count: int) -> tuple[int, ...]:
     return canonicalize([plan.get(s, -1) + 1 for s in range(step_count)])
 
 
-def canonicalize(entries: Sequence[int], order: Sequence[int] | None = None) -> tuple[int, ...]:
-    """Renumber labels by first occurrence along ``order``; zeros stay put."""
-    k = len(entries)
-    order = range(k) if order is None else order
-    remap: dict[int, int] = {}
-    out = [0] * k
-    for s in order:
-        x = entries[s]
-        if x == 0:
-            continue
-        lab = remap.get(x)
-        if lab is None:
-            lab = len(remap) + 1
-            remap[x] = lab
-        out[s] = lab
-    return tuple(out)
+def canonicalize(entries: Sequence[int]) -> tuple[int, ...]:
+    """Renumber labels by first occurrence in step order; zeros stay put."""
+    # 0 maps to itself, so the n-th label met is numbered n.
+    remap = {0: 0}
+    return tuple([remap.setdefault(x, len(remap)) for x in entries])
 
 
 class Pattern:

@@ -32,7 +32,10 @@ grouped early.
 The walk is one loop over an explicit stack, one frame per depth
 holding the chosen step and the next label to try, so the depth of the
 tree is bounded by memory rather than by Python's recursion limit.  It
-yields each realisable complete pattern with its witness as it is found.
+yields each realisable complete pattern with its witness, the user of
+each step, as it is found.  ``solve_enumerating`` keeps every witness as
+k user ids in one flat array and builds a plan ``dict`` only when a
+caller reads it from ``EnumerationOutcome.plans``.
 Per-constraint state is flat: a bitmask of the labels each counting
 constraint's scope uses, its room (how many more fresh labels an
 at-most scope, or reused labels an at-least scope, can take before no
@@ -45,9 +48,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterator
 
 from .constraints import AtLeast, AtMost, BindingOfDuty, NotEquals
 from .matching import augment, match_blocks
@@ -274,8 +279,10 @@ class SearchState:
 
 def _search(
     state: SearchState, deadline: float | None, prune: bool, stats: SearchStats
-) -> Iterator[tuple[tuple[int, ...], Plan]]:
-    """Depth-first walk yielding (canonical pattern, plan) per realisable leaf.
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Depth-first walk yielding (canonical pattern, users) per realisable leaf.
+
+    ``users[s]`` is the witness's user for step s.
 
     Raises _Timeout once ``deadline`` has passed.  The counters are kept
     in locals and written to ``stats`` when the walk ends: when it is
@@ -376,8 +383,7 @@ def _search(
                 user_of = match_blocks(block_masks[1 : pattern.max_label + 1])
                 if user_of is not None:
                     matchings_full += 1
-                    plan = {s: user_of[entries[s] - 1] for s in range(k)}
-                    yield canonicalize(entries), plan
+                    yield canonicalize(entries), [user_of[x - 1] for x in entries]
     finally:
         stats.nodes = nodes
         stats.auth_prunes = auth_prunes
@@ -400,10 +406,11 @@ def _drive(
     time_limit: float | None,
     prune: bool,
     limit: int | None,
-) -> tuple[list[tuple[tuple[int, ...], Plan]], SearchStats, bool]:
+) -> tuple[list[tuple[int, ...]], array, SearchStats, bool]:
     """Run one timed search for at most ``limit`` patterns (None: all).
 
-    Returns the (pattern, plan) pairs found, the stats and whether the
+    Returns the patterns found, their witnesses as one flat array of
+    users (k per pattern, in step order), the stats and whether the
     search timed out.
     """
     if time_limit is not None and math.isnan(time_limit):
@@ -411,19 +418,22 @@ def _drive(
     start = time.perf_counter()
     state = SearchState(instance)
     stats = SearchStats()
-    found: list[tuple[tuple[int, ...], Plan]] = []
+    patterns: list[tuple[int, ...]] = []
+    witnesses = array("q")
     timed_out = time_limit is not None and time_limit <= 0
     if not timed_out and not (prune and _root_unsat(instance)):
         deadline = None if time_limit is None else start + time_limit
         search = _search(state, deadline, prune, stats)
         try:
-            found.extend(itertools.islice(search, limit))
+            for pattern, users in itertools.islice(search, limit):
+                patterns.append(pattern)
+                witnesses.fromlist(users)
         except _Timeout:
             timed_out = True
         finally:
             search.close()
     stats.wall_time = time.perf_counter() - start
-    return found, stats, timed_out
+    return patterns, witnesses, stats, timed_out
 
 
 def solve(
@@ -443,17 +453,51 @@ def solve(
     verdict.  The instance must already be preprocessed, i.e. free of
     binding-of-duty constraints.
     """
-    found, stats, timed_out = _drive(instance, time_limit, prune, 1)
-    status = TIMEOUT if timed_out else SAT if found else UNSAT
-    return SolveOutcome(status, found[0][1] if found else None, stats)
+    patterns, users, stats, timed_out = _drive(instance, time_limit, prune, 1)
+    status = TIMEOUT if timed_out else SAT if patterns else UNSAT
+    return SolveOutcome(status, dict(enumerate(users)) if patterns else None, stats)
+
+
+class _Plans(Sequence[Plan]):
+    """Read-only sequence of witness plans over one flat array of users.
+
+    Plan i maps step s to ``users[i * k + s]``; every access builds a
+    fresh ``dict``, so the plans cost k array slots each until read.
+    """
+
+    __slots__ = ("_users", "_k")
+
+    def __init__(self, users: array, step_count: int):
+        self._users = users
+        self._k = step_count
+
+    def __len__(self) -> int:
+        return len(self._users) // self._k
+
+    def __getitem__(self, index: int) -> Plan:
+        n = len(self)
+        i = operator.index(index)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("plan index out of range")
+        k = self._k
+        return dict(enumerate(self._users[i * k : i * k + k]))
+
+    def __iter__(self) -> Iterator[Plan]:
+        # zip over k references to one iterator takes the users k at a time.
+        return map(dict, map(enumerate, zip(*[iter(self._users)] * self._k)))
 
 
 @dataclass(frozen=True)
 class EnumerationOutcome:
-    """All valid complete patterns with one witness plan each."""
+    """All valid complete patterns with one witness plan each.
+
+    ``plans[i]`` realises ``patterns[i]``; each plan is built on access.
+    """
 
     patterns: tuple[tuple[int, ...], ...]
-    plans: tuple[Plan, ...]
+    plans: Sequence[Plan]
     stats: SearchStats
     timed_out: bool
 
@@ -471,9 +515,9 @@ def solve_enumerating(
     """Like solve, but keeps searching and reports every valid pattern.
 
     Patterns are reported in canonical form (labels renumbered by first
-    occurrence in step order) with one witness plan per pattern.
+    occurrence in step order) with one witness plan per pattern, stored
+    as k users and built into a ``dict`` when read.
     """
-    found, stats, timed_out = _drive(instance, time_limit, prune, None)
-    patterns = tuple(p for p, _ in found)
-    plans = tuple(plan for _, plan in found)
-    return EnumerationOutcome(patterns, plans, stats, timed_out)
+    patterns, users, stats, timed_out = _drive(instance, time_limit, prune, None)
+    plans = _Plans(users, instance.step_count)
+    return EnumerationOutcome(tuple(patterns), plans, stats, timed_out)

@@ -250,6 +250,21 @@ def test_enumerate_timeout(golden_path, capsys):
     assert "status=timeout" in captured.err.splitlines()
 
 
+def test_enumerate_rejects_an_invalid_witness(golden_path, monkeypatch, capsys):
+    # One broken witness among good ones must keep every pattern unprinted.
+    def broken_enumerating(instance, time_limit=None):
+        out = wspsolve.solve_enumerating(instance, time_limit)
+        plans = [*out.plans, dict.fromkeys(range(instance.step_count), 1)]
+        patterns = (*out.patterns, (1,) * instance.step_count)
+        return wspsolve.EnumerationOutcome(patterns, plans, out.stats, False)
+
+    monkeypatch.setattr(wspsolve.cli, "solve_enumerating", broken_enumerating)
+    assert run_cli("enumerate", golden_path) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: solver returned an invalid plan")
+
+
 # --- oracle ------------------------------------------------------------------
 
 

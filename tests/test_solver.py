@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+import tracemalloc
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +26,7 @@ from wspsolve import (
     Valid,
     WorkflowInstance,
     canonicalize,
+    density_to_e,
     encode,
     generate,
     oracle_solve,
@@ -324,7 +328,7 @@ def test_disabling_prunes_changes_nothing_but_work(inst):
     assert set(both[0].patterns) == set(both[1].patterns)
     assert both[0].stats.matchings_full == both[0].stats.matchings
     assert both[1].stats.prunes == 0
-    for plan in both[0].plans + both[1].plans:
+    for plan in [*both[0].plans, *both[1].plans]:
         assert validate_plan(inst, plan) == Valid()
 
 
@@ -335,6 +339,46 @@ def test_matching_prune_decides_one_user_instance_at_once():
     assert out.status == UNSAT
     assert out.stats.matching_prunes >= 1
     assert out.stats.nodes <= 4
+
+
+def test_enumerated_plans_are_a_sequence_of_fresh_dicts():
+    k = 6
+    inst = generate(GeneratorConfig(k, density_to_e(k, 20), 0, 0, users=6))
+    out = solve_enumerating(inst)
+    plans = out.plans
+    listed = list(plans)
+    n = out.count
+    assert isinstance(plans, Sequence)
+    assert n > 2 and len(plans) == len(listed) == n
+    # The first witness is the one solve returns from the same search.
+    assert plans[0] == solve(inst).plan
+    for i, plan in enumerate(listed):
+        assert type(plan) is dict and list(plan) == list(range(k))
+        assert plans[i] == plans[i - n] == plan
+        assert encode(plan, k) == out.patterns[i]
+        assert validate_plan(inst, plan) == Valid()
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            plans[index]
+    # Each access builds a new dict, so editing one leaves the view as it was.
+    plans[0][0] = -1
+    assert plans[0] == listed[0]
+
+
+def test_enumeration_retains_little_per_pattern():
+    # 7,491 patterns; one dict witness each kept about 490 bytes per pattern.
+    inst = generate(GeneratorConfig(10, density_to_e(10, 20), 0, 0, users=24))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = solve_enumerating(inst)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.count == 7491
+    assert retained <= 300 * out.count
 
 
 # --- determinism -------------------------------------------------------------
