@@ -17,6 +17,7 @@ import argparse
 import csv
 import math
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
@@ -298,15 +299,28 @@ def summarize_bench(records: Sequence[BenchRecord]) -> str:
 # --- subcommands ------------------------------------------------------------
 
 
-def _read_instance(path: str) -> WorkflowInstance:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    return parse_instance(text)
+def _read_text(path: str) -> str:
+    return sys.stdin.read() if path == "-" else Path(path).read_text()
 
 
-def _emit_stats(stats: SearchStats, status: str) -> None:
-    """``key=value`` lines on stderr: the status, then each field of
-    ``stats`` in declaration order, a ``*_time`` in seconds as ``*_ms``."""
+def _read_preprocessed(path: str) -> tuple[WorkflowInstance, PreprocessResult, dict[str, int]]:
+    """The instance as read, its preprocessed form, and each phase's milliseconds."""
+    text = _read_text(path)
+    t0 = time.perf_counter()
+    instance = parse_instance(text)
+    t1 = time.perf_counter()
+    pre = preprocess(instance)
+    t2 = time.perf_counter()
+    return instance, pre, {"parse_ms": int((t1 - t0) * 1000), "preprocess_ms": int((t2 - t1) * 1000)}
+
+
+def _emit_stats(stats: SearchStats, status: str, phase_ms: dict[str, int]) -> None:
+    """``key=value`` lines on stderr: the status, the reading phases'
+    milliseconds, then each field of ``stats`` in declaration order, a
+    ``*_time`` in seconds as ``*_ms``."""
     print(f"status={status}", file=sys.stderr)
+    for key, value in phase_ms.items():
+        print(f"{key}={value}", file=sys.stderr)
     for f in fields(stats):
         key, value = f.name, getattr(stats, f.name)
         if key.endswith("_time"):
@@ -324,8 +338,7 @@ def _checked_plan(instance: WorkflowInstance, pre: PreprocessResult, plan: Plan)
 
 
 def cmd_solve(args) -> int:
-    instance = _read_instance(args.instance)
-    pre = preprocess(instance)
+    instance, pre, phase_ms = _read_preprocessed(args.instance)
     limit = None if args.time_limit is None else parse_duration(args.time_limit)
     outcome = solve(pre.instance, time_limit=limit)
     plan = None if outcome.plan is None else _checked_plan(instance, pre, outcome.plan)
@@ -335,7 +348,7 @@ def cmd_solve(args) -> int:
     else:
         sys.stdout.write(text)
     if args.stats:
-        _emit_stats(outcome.stats, outcome.status)
+        _emit_stats(outcome.stats, outcome.status, phase_ms)
     return _STATUS_EXIT[outcome.status]
 
 
@@ -368,8 +381,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    instance = _read_instance(args.instance)
-    pre = preprocess(instance)
+    instance, pre, phase_ms = _read_preprocessed(args.instance)
     limit = None if args.time_limit is None else parse_duration(args.time_limit)
     result = solve_enumerating(pre.instance, time_limit=limit)
     if result.timed_out:
@@ -388,12 +400,12 @@ def cmd_enumerate(args) -> int:
             for s in sorted(expanded):
                 print(f"assign {s} {expanded[s]}")
     if args.stats:
-        _emit_stats(result.stats, status)
+        _emit_stats(result.stats, status, phase_ms)
     return _STATUS_EXIT[status]
 
 
 def cmd_oracle(args) -> int:
-    instance = _read_instance(args.instance)
+    instance = parse_instance(_read_text(args.instance))
     result = oracle_solve(instance, max_plans=args.budget)
     print(result.status)
     print(f"patterns {len(result.valid_patterns)}")

@@ -16,11 +16,21 @@ Instance file format (UTF-8, line oriented, ``#`` starts a comment):
 
 Solution file format: ``sat`` followed by one ``assign <step> <user>``
 line per step, or a single ``unsat`` / ``timeout`` line.
+
+Reading is linear in the size of the file.  Each auth line becomes its
+user's row, a bitmask over the steps; the rows are laid out as one byte
+grid, and ``_columns`` reads each step's user mask off the grid with a
+few C calls.  OR-ing each user's bit into its steps' masks would copy an
+n-bit int per entry, quadratic in the user count n.
+``AuthorisationLists.from_user_steps`` builds the same grid from its
+step lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .constraints import (
@@ -42,6 +52,66 @@ Plan = dict[StepId, UserId]
 def _bits(mask: int) -> list[int]:
     """Indices of the set bits of ``mask``, ascending."""
     return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+# Maps a cell byte, 0 or 1, to its ASCII digit.
+_CELL_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _from_cells(cells: bytearray) -> int:
+    """The number whose bit i is ``cells[i]``, each cell 0 or 1.
+
+    Filling a cell is one byte store, where OR-ing ``1 << i`` into an
+    int would copy the whole number; the cells are then read as binary
+    digits by C calls linear in their count.
+    """
+    return int(cells.translate(_CELL_DIGITS)[::-1] or b"0", 2)
+
+
+def _mask(indices: Iterable[int], limit: int, what: str) -> int:
+    """The bitmask with bit i set for each i in ``indices``, in time linear
+    in the count plus the largest index.  Raises ValueError, naming
+    ``what``, for the first index outside ``0..limit-1``."""
+    indices = list(indices)
+    if indices and (min(indices) < 0 or max(indices) >= limit):
+        bad = next(i for i in indices if not 0 <= i < limit)
+        raise ValueError(f"{what} index {bad} out of range")
+    cells = bytearray(max(indices, default=0) + 1)
+    for i in indices:
+        cells[i] = 1
+    return _from_cells(cells)
+
+
+# _DIGITS[j] maps each byte to the ASCII digit of its bit j.
+_DIGITS = tuple(bytes(0x30 | b >> j & 1 for b in range(256)) for j in range(8))
+
+
+def _columns(grid: bytes, width: int) -> list[int]:
+    """The column masks of a bit matrix held as a byte grid.
+
+    Row r of the matrix is the little-endian number in bytes
+    ``[r * w, (r + 1) * w)`` of ``grid``, with ``w = ceil(width / 8)``.
+    Bit r of the returned column c is bit c of row r.  The strided slice
+    ``grid[c >> 3 :: w]`` holds column c's byte of every row; reversed,
+    translated to the ASCII digits of bit ``c & 7`` and read in base 2,
+    it is the column.  That is a few C calls over one byte per row for
+    each column, so the time is linear in the grid's size.  Equal byte
+    slices, common when there are far more columns than rows, are
+    converted once.
+    """
+    if not grid:
+        return [0] * width
+    w = (width + 7) >> 3
+    masks: list[int] = []
+    seen: dict[bytes, list[int]] = {}
+    for j in range(w):
+        column = grid[j::w][::-1]
+        eight = seen.get(column)
+        if eight is None:
+            eight = seen[column] = [int(column.translate(t), 2) for t in _DIGITS]
+        masks += eight
+    del masks[width:]
+    return masks
 
 
 @dataclass(frozen=True)
@@ -85,28 +155,24 @@ class AuthorisationLists:
         cls, step_count: int, user_steps: Iterable[Iterable[StepId]]
     ) -> "AuthorisationLists":
         by_user = list(user_steps)
-        masks = [0] * step_count
+        w = (step_count + 7) >> 3
+        # One cell per bit of the byte grid that _columns reads: user u's
+        # row holds 8 * w cells, step s at cell s.
+        cells = bytearray(len(by_user) * 8 * w)
         for u, steps in enumerate(by_user):
-            bit = 1 << u
+            base = u * 8 * w
             for s in steps:
                 if not 0 <= s < step_count:
                     raise ValueError(f"step index {s} out of range")
-                masks[s] |= bit
-        return cls(len(by_user), tuple(masks))
+                cells[base + s] = 1
+        grid = _from_cells(cells).to_bytes(len(by_user) * w, "little")
+        return cls(len(by_user), tuple(_columns(grid, step_count)))
 
     @classmethod
     def from_step_users(
         cls, user_count: int, step_users: Iterable[Iterable[UserId]]
     ) -> "AuthorisationLists":
-        masks = []
-        for users in step_users:
-            mask = 0
-            for u in users:
-                if not 0 <= u < user_count:
-                    raise ValueError(f"user index {u} out of range")
-                mask |= 1 << u
-            masks.append(mask)
-        return cls(user_count, tuple(masks))
+        return cls(user_count, tuple(_mask(users, user_count, "user") for users in step_users))
 
 
 @dataclass(frozen=True)
@@ -227,10 +293,19 @@ def _parse_int(tok: str, line_no: int, what: str) -> int:
         raise ParseError(line_no, f"expected an integer {what}, got {tok!r}") from None
 
 
+# 1 << s under the decimal token of each step s below 64.  An auth line
+# of these tokens needs no Python work per token; the bits of larger
+# steps would cost O(k) each to hold and to OR.
+_STEP_BIT = {str(s): 1 << s for s in range(64)}
+
+
 def parse_instance(text: str) -> WorkflowInstance:
     """Parse the instance file format; raises ParseError with a line number."""
     step_count = user_count = header_line = -1
-    steps_of: dict[UserId, list[StepId]] = {}
+    # Each user's steps as a bitmask (its row), or, for a line read token
+    # by token, as a list, whose row is built once every line is read:
+    # its size is bounded only by the step count.
+    row_of: dict[UserId, int | list[StepId]] = {}
     constraints: list[UserIndependentConstraint] = []
 
     def check_step(value: int, line_no: int) -> int:
@@ -258,14 +333,26 @@ def parse_instance(text: str) -> WorkflowInstance:
         if step_count == -1:
             raise ParseError(line_no, "expected the wsp header first")
         if tag == "auth":
+            # Fast path: the user new and in range, each step a decimal
+            # token below 64 and below the step count.
+            try:
+                u = int(args[0])
+                row = reduce(or_, map(_STEP_BIT.__getitem__, args[1:]), 0)
+            except (IndexError, KeyError, ValueError):
+                pass
+            else:
+                if 0 <= u < user_count and u not in row_of and row.bit_length() <= step_count:
+                    row_of[u] = row
+                    continue
+            # Token by token, to report the first error.
             if not args:
                 raise ParseError(line_no, "auth line needs a user index")
             u = _parse_int(args[0], line_no, "user index")
             if not 0 <= u < user_count:
                 raise ParseError(line_no, f"user index {u} out of range 0..{user_count - 1}")
-            if u in steps_of:
+            if u in row_of:
                 raise ParseError(line_no, f"duplicate auth line for user {u}")
-            steps_of[u] = [check_step(_parse_int(t, line_no, "step index"), line_no) for t in args[1:]]
+            row_of[u] = [check_step(_parse_int(t, line_no, "step index"), line_no) for t in args[1:]]
         elif tag in ("ne", "bd"):
             if len(args) != 2:
                 raise ParseError(line_no, f"{tag} needs exactly two step indices")
@@ -292,11 +379,16 @@ def parse_instance(text: str) -> WorkflowInstance:
     if step_count == -1:
         raise ParseError(1, "missing wsp header")
     # Checked before any mask is built: user u's bit costs memory up to u.
-    if len(steps_of) < user_count:
-        missing = next(u for u in range(user_count) if u not in steps_of)
+    if len(row_of) < user_count:
+        missing = next(u for u in range(user_count) if u not in row_of)
         raise ParseError(len(text.splitlines()) or 1, f"missing auth line for user {missing}")
     try:
-        auth = AuthorisationLists.from_user_steps(step_count, (steps_of[u] for u in range(user_count)))
+        w = (step_count + 7) >> 3
+        grid = b"".join([
+            (r if isinstance(r, int) else _mask(r, step_count, "step")).to_bytes(w, "little")
+            for r in map(row_of.__getitem__, range(user_count))
+        ])
+        auth = AuthorisationLists(user_count, tuple(_columns(grid, step_count)))
     except (MemoryError, OverflowError):
         # One mask per step: the steps need no line of their own, so only
         # the allocation can tell that the count is too large.
@@ -374,6 +466,8 @@ class PreprocessResult:
     step_map: tuple[int, ...]
 
     def expand_plan(self, plan: Mapping[int, int]) -> Plan:
+        if self.instance.step_count == len(self.step_map):
+            return dict(plan)  # nothing merged: step_map is the identity
         return {
             s: plan[x]
             for s, x in enumerate(self.step_map)

@@ -108,6 +108,8 @@ def test_solve_stats_on_stderr(golden_path, capsys):
     assert int(stats["nodes"]) >= 1
     assert set(stats) == {
         "status",
+        "parse_ms",
+        "preprocess_ms",
         "nodes",
         "auth_prunes",
         "eligibility_prunes",
@@ -248,6 +250,14 @@ def test_enumerate_timeout(golden_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "timeout\n"
     assert "status=timeout" in captured.err.splitlines()
+
+
+def test_enumerate_stats_report_the_reading_phases(golden_path, capsys):
+    assert run_cli("enumerate", golden_path, "--stats") == 0
+    stats = dict(line.split("=", 1) for line in capsys.readouterr().err.splitlines())
+    assert stats["status"] == "sat"
+    assert int(stats["parse_ms"]) >= 0
+    assert int(stats["preprocess_ms"]) >= 0
 
 
 def test_enumerate_rejects_an_invalid_witness(golden_path, monkeypatch, capsys):
