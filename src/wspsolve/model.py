@@ -249,6 +249,7 @@ class SearchStats:
     nodes: int = 0
     auth_prunes: int = 0
     eligibility_prunes: int = 0
+    forward_prunes: int = 0
     matching_prunes: int = 0
     matchings: int = 0
     matchings_full: int = 0
@@ -256,7 +257,9 @@ class SearchStats:
 
     @property
     def prunes(self) -> int:
-        return self.auth_prunes + self.eligibility_prunes + self.matching_prunes
+        return (
+            self.auth_prunes + self.eligibility_prunes + self.forward_prunes + self.matching_prunes
+        )
 
 
 SAT = "sat"

@@ -3,17 +3,34 @@
 The search assigns one step per level.  Assigning a step either reuses
 an existing block label or opens one fresh block, so the tree below the
 empty pattern enumerates set partitions of the steps, never visiting the
-same grouping twice.  Three prunes cut the tree:
+same grouping twice.  Four prunes cut the tree:
 
 * authorisation: a block whose members share no authorised user can
   never be realised, so the extension is rejected outright,
 * eligibility: each constraint is re-checked incrementally whenever a
   step of its scope is assigned, rejecting extensions no completion
-  can repair, and
+  can repair,
+* forward: after an extension, a branch in which some unassigned step
+  has no label left, none both eligible and authorised, is cut at once
+  rather than when that step is reached, and
 * matching: the blocks of a partial pattern must have a block/user
   matching that covers them all.  Adding a step only shrinks its
   block's users and opening a block only adds a vertex, so a partial
   pattern without one has no realisable completion (Hall's theorem).
+
+The forward check looks only at the steps the extension can have
+starved.  The root check gives every step a user, so a fresh label is
+always authorised, and of the built-in constraints only an at-most
+scope with no room left excludes it.  A step outside such a scope
+therefore always has a label.  Extending step s can starve the other
+steps of its at-most scopes, by spending their last room or by shrinking
+a block they could join, and its not-equals neighbours, by taking a
+label they could use; ``SearchState.forward`` lists both per step, and
+a step with neither pays one truthiness test.  Other ways to starve a
+step go unseen: an at-least scope reaching zero room, a block shrunk by
+a step outside the starved step's scopes, and the generic constraints,
+which are left to ``extension_eligible``.  Missing them only makes the
+check weaker, never unsound.
 
 The matching prune keeps one held block -> user matching in the walk's
 locals, beside the chosen steps, with a per-depth trail that the
@@ -123,9 +140,10 @@ class SearchState:
                     "instance still has binding-of-duty constraints; preprocess first"
                 )
         self.instance = instance
+        self.auth = instance.auth.step_user_masks
         k = instance.step_count
         self.step_count = k
-        self.pattern = Pattern(k, instance.auth.step_user_masks)
+        self.pattern = Pattern(k, self.auth)
 
         # Scores start at each step's not-equals count plus the at-most
         # weights of the empty pattern (small whole numbers, so the float
@@ -138,6 +156,7 @@ class SearchState:
         self.ct_room: list[int] = []
         counting: list[list[tuple[int, bool, tuple[int, ...]]]] = [[] for _ in range(k)]
         gen_by_step: list[list] = [[] for _ in range(k)]
+        at_most_steps: set[int] = set()
 
         for c in instance.constraints:
             if isinstance(c, NotEquals):
@@ -151,6 +170,8 @@ class SearchState:
                 entry = (len(self.ct_room), at_most, scope)
                 self.ct_labels.append(0)
                 self.ct_room.append(c.r if at_most else len(scope) - c.r)
+                if at_most:
+                    at_most_steps.update(scope)
                 for s in scope:
                     counting[s].append(entry)
                     if at_most:
@@ -160,6 +181,21 @@ class SearchState:
                     gen_by_step[s].append(c)
         self.ne_other = [tuple(x) for x in ne_other]
         self._counting = [tuple(x) for x in counting]
+        # forward[s] lists the steps an extend of s can leave without a
+        # label (see starved): each at-most scope on s, as its index and
+        # its other steps, and the not-equals neighbours of s that lie in
+        # some at-most scope.  None when s has neither: s lies in no
+        # at-most scope and neighbours none of their steps, so on an
+        # instance without at-most constraints no list is built.
+        self.forward: list[tuple | None] = [None] * k
+        for s in at_most_steps.union(*(ne_other[q] for q in at_most_steps)):
+            scopes = tuple(
+                (ci, tuple(q for q in scope if q != s))
+                for ci, at_most, scope in counting[s]
+                if at_most
+            )
+            neighbours = tuple(q for q in ne_other[s] if q in at_most_steps)
+            self.forward[s] = scopes, neighbours
         self.gen_by_step = [tuple(x) for x in gen_by_step]
         self.score = score
         self._trail: list[tuple[int, int, float, list[int], list[tuple]]] = []
@@ -276,6 +312,42 @@ class SearchState:
                 entries[step] = 0
         return True
 
+    def starved(self, step: int) -> bool:
+        """Did extending ``step`` leave some unassigned step without a label?
+
+        Only the steps ``forward[step]`` lists can have been starved:
+        the other steps of its at-most scopes, read only once a scope
+        has no room left, and its not-equals neighbours (see the module
+        docstring).
+        """
+        scopes, neighbours = self.forward[step]
+        room = self.ct_room
+        entries = self.pattern.entries
+        for ci, others in scopes:
+            if not room[ci]:
+                for q in others:
+                    if not entries[q] and self._labelless(q):
+                        return True
+        for q in neighbours:
+            if not entries[q] and self._labelless(q):
+                return True
+        return False
+
+    def _labelless(self, step: int) -> bool:
+        """Does no eligible label give unassigned ``step`` an authorised user?"""
+        pattern = self.pattern
+        mask = self._eligible_labels(step)
+        if mask >> (pattern.max_label + 1):
+            return False  # the fresh label
+        auth = self.auth[step]
+        block_masks = pattern.block_masks
+        while mask:
+            low = mask & -mask
+            if block_masks[low.bit_length() - 1] & auth:
+                return False
+            mask ^= low
+        return True
+
 
 def _search(
     state: SearchState, deadline: float | None, prune: bool, stats: SearchStats
@@ -298,9 +370,13 @@ def _search(
     retract = state.retract
     select_step = state.select_step
     eligible = state.extension_eligible
+    starved = state.starved
+    # The forward check is one of the prunes.
+    forward = state.forward if prune else [None] * k
     clock = time.perf_counter
     nodes = 1  # the root
-    auth_prunes = eligibility_prunes = matching_prunes = matchings = matchings_full = 0
+    auth_prunes = eligibility_prunes = forward_prunes = matching_prunes = 0
+    matchings = matchings_full = 0
     steps = [0] * k  # the step chosen at each depth
     # The next label to try at each depth; depth k, a complete pattern,
     # has none, so the walk backs out of it like an exhausted depth.
@@ -374,6 +450,12 @@ def _search(
                 raise _Timeout
             depth += 1
             if depth < k:
+                if forward[step] and starved(step):
+                    # Back out of the new depth as if it were exhausted,
+                    # which retracts the extend and restores the matching.
+                    forward_prunes += 1
+                    next_label[depth] = k + 2
+                    continue
                 steps[depth] = select_step()
                 next_label[depth] = 1
                 continue
@@ -388,6 +470,7 @@ def _search(
         stats.nodes = nodes
         stats.auth_prunes = auth_prunes
         stats.eligibility_prunes = eligibility_prunes
+        stats.forward_prunes = forward_prunes
         stats.matching_prunes = matching_prunes
         stats.matchings = matchings
         stats.matchings_full = matchings_full
@@ -447,11 +530,11 @@ def solve(
     ``time_limit`` is wall-clock seconds; on expiry the outcome status
     is timeout, and a limit of zero or less times out at once.  A NaN
     limit raises ValueError.  ``prune=False`` disables the authorisation,
-    eligibility and matching prunes and the root checks: every complete
-    pattern is then reached, and each constraint's ``satisfied_by``
-    decides it before the matching runs.  This never changes the
-    verdict.  The instance must already be preprocessed, i.e. free of
-    binding-of-duty constraints.
+    eligibility, forward and matching prunes and the root checks: every
+    complete pattern is then reached, and each constraint's
+    ``satisfied_by`` decides it before the matching runs.  This never
+    changes the verdict.  The instance must already be preprocessed,
+    i.e. free of binding-of-duty constraints.
     """
     patterns, users, stats, timed_out = _drive(instance, time_limit, prune, 1)
     status = TIMEOUT if timed_out else SAT if patterns else UNSAT

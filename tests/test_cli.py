@@ -113,6 +113,7 @@ def test_solve_stats_on_stderr(golden_path, capsys):
         "nodes",
         "auth_prunes",
         "eligibility_prunes",
+        "forward_prunes",
         "matching_prunes",
         "matchings",
         "matchings_full",

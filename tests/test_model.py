@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 import tracemalloc
 
 import pytest
@@ -304,6 +305,32 @@ def test_builders_name_the_first_index_out_of_range():
         AuthorisationLists.from_step_users(2, [[-1, 5]])
     with pytest.raises(ValueError, match=r"^step index -1 out of range$"):
         AuthorisationLists.from_user_steps(2, [[1], [0, -1, 2]])
+
+
+@pytest.mark.parametrize(
+    "bad, text",
+    [
+        (-1, "-1"),
+        (1 << 3, "8"),
+        (2.0, "2.0"),
+        ("1", "'1'"),
+    ],
+    ids=["negative", "oversize", "float", "str"],
+)
+def test_mask_check_names_the_first_bad_mask(bad, text):
+    # The bad mask sits between good ones, and a second bad one follows
+    # it, so the message must name the first, not the extreme one.
+    masks = (0b101, bad, 0b111, -(1 << 70), 1 << 70)
+    with pytest.raises(ValueError, match=rf"^{re.escape(text)} is not a mask over 3 users$"):
+        AuthorisationLists(3, masks)
+
+
+def test_mask_check_takes_bools_as_ints():
+    # bool is an int: True is the mask of user 0, as it always was.
+    assert AuthorisationLists(1, (True, False, 1)).step_user_masks == (True, False, 1)
+    with pytest.raises(ValueError, match=r"^True is not a mask over 0 users$"):
+        AuthorisationLists(0, (0, True))
+    assert AuthorisationLists(0, ()).step_user_masks == ()
 
 
 # --- plan validation --------------------------------------------------------

@@ -19,6 +19,7 @@ from wspsolve import (
     AtLeast,
     AtMost,
     AuthorisationLists,
+    BindingOfDuty,
     GeneratorConfig,
     Never,
     NotEquals,
@@ -341,6 +342,70 @@ def test_matching_prune_decides_one_user_instance_at_once():
     assert out.stats.nodes <= 4
 
 
+# --- forward checking ----------------------------------------------------------
+
+
+def test_forward_check_cuts_a_starved_step():
+    # Step 0 spends the scope's one label; step 1 may then take only that
+    # label, which its not-equals pair forbids.
+    out = solve(full_auth(3, 3, [AtMost(1, frozenset({0, 1, 2})), NotEquals(0, 1)]))
+    assert out.status == UNSAT
+    assert out.stats.forward_prunes >= 1
+
+
+def test_forward_lists_name_only_steps_an_at_most_scope_can_starve():
+    state = SearchState(
+        full_auth(5, 3, [NotEquals(0, 1), NotEquals(1, 2), AtMost(1, frozenset({2, 3}))])
+    )
+    assert state.forward == [
+        None,  # its neighbour 1 lies in no at-most scope
+        ((), (2,)),
+        (((0, (3,)),), ()),
+        (((0, (2,)),), ()),
+        None,
+    ]
+
+
+@st.composite
+def saturated_instances(draw):
+    """Instances whose at-most scopes fill up: r of 1 or 2 over 2 to 4 steps."""
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(2, 6))
+    steps = st.integers(0, k - 1)
+    step_users = [draw(st.frozensets(st.integers(0, n - 1), min_size=1)) for _ in range(k)]
+    constraints = []
+    for _ in range(draw(st.integers(1, 3))):
+        scope = draw(st.frozensets(steps, min_size=2, max_size=4))
+        constraints.append(AtMost(draw(st.integers(1, 2)), scope))
+    for _ in range(draw(st.integers(0, 4))):
+        s, t = draw(st.lists(steps, min_size=2, max_size=2, unique=True))
+        constraints.append(draw(st.sampled_from([NotEquals, BindingOfDuty]))(s, t))
+    return make_instance(k, n, step_users, constraints)
+
+
+@given(saturated_instances())
+@example(full_auth(3, 3, [AtMost(1, frozenset({0, 1, 2})), NotEquals(0, 1)]))
+# Step 0 spends the scope's one label, and step 1 joins its block, which
+# keeps only user 0: step 2, whose one user is 1, has no label left.
+@example(make_instance(3, 2, [{0, 1}, {0}, {1}], [AtMost(1, frozenset({0, 1, 2}))]))
+# Step 0 goes first and takes label 1; its neighbour 1 lies in a scope
+# with room left, so it keeps the fresh label and is not starved.
+@example(full_auth(3, 2, [NotEquals(0, 1), NotEquals(0, 2), AtMost(2, frozenset({1, 2}))]))
+@settings(max_examples=150)
+def test_forward_check_changes_nothing_but_work(inst):
+    pre = preprocess(inst)
+    checked = solve_enumerating(pre.instance)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SearchState, "starved", lambda self, step: False)
+        unchecked = solve_enumerating(pre.instance)
+    ungated = solve_enumerating(pre.instance, prune=False)
+    assert set(checked.patterns) == set(unchecked.patterns) == set(ungated.patterns)
+    assert unchecked.stats.forward_prunes == 0
+    assert checked.stats.nodes <= unchecked.stats.nodes
+    for plan in checked.plans:
+        assert validate_plan(inst, pre.expand_plan(plan)) == Valid()
+
+
 def test_enumerated_plans_are_a_sequence_of_fresh_dicts():
     k = 6
     inst = generate(GeneratorConfig(k, density_to_e(k, 20), 0, 0, users=6))
@@ -461,7 +526,9 @@ def test_generous_deadline_does_not_interfere(golden_instance):
 def test_stats_accounting(golden_instance):
     out = solve(preprocess(golden_instance).instance)
     s = out.stats
-    assert s.prunes == s.auth_prunes + s.eligibility_prunes + s.matching_prunes
+    assert s.prunes == (
+        s.auth_prunes + s.eligibility_prunes + s.forward_prunes + s.matching_prunes
+    )
     assert 0 <= s.matchings_full <= s.matchings
     assert s.matchings <= s.nodes
 
