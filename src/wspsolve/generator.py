@@ -25,6 +25,12 @@ from .constraints import AtLeast, AtMost, NotEquals, UserIndependentConstraint
 from .model import AuthorisationLists, WorkflowInstance
 
 _MASK64 = (1 << 64) - 1
+_TWO64 = 1 << 64
+# SplitMix64's increment (2**64 over the golden ratio) and its two mixing
+# multipliers.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 COUNTING_SCOPE_SIZE = 5
 COUNTING_BOUND = 3
@@ -33,16 +39,22 @@ USERS_PER_STEP = 10
 
 class SplitMix64:
     """SplitMix64: state advances by the golden-ratio increment, output
-    is the finalizer mix of the new state."""
+    is the finalizer mix of the new state.
+
+    ``below``, ``take`` and the generator's per-user loop
+    (``_user_steps``) repeat ``next_u64``'s arithmetic inline, with the
+    state in a local, so that a draw costs no call and no attribute
+    store; each writes the state back once.
+    """
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
@@ -51,27 +63,57 @@ class SplitMix64:
         One 64-bit draw covers at most 2**64 values, so a larger bound
         raises ValueError.
         """
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        if bound > _MASK64 + 1:
-            raise ValueError(f"bound {bound} exceeds 2**64")
-        limit = _MASK64 + 1 - ((_MASK64 + 1) % bound)
+        limit = _limit(bound)
+        state = self._state
         while True:
-            x = self.next_u64()
-            if x < limit:
-                return x % bound
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            z ^= z >> 31
+            if z < limit:
+                self._state = state
+                return z % bound
 
     def take(self, items: list, count: int) -> list:
         """First ``count`` items of a partial Fisher-Yates shuffle.
 
         Mutates ``items``; swap i with a uniform index in [i, len) for
-        i = 0..count-1 and return the prefix.
+        i = 0..count-1 and return the prefix.  The draws are those of
+        ``below(len - i)``; a count above ``len`` raises its ValueError
+        before any draw.
         """
         n = len(items)
+        if count > 0:
+            _limit(n - count + 1)  # the smallest bound drawn
+        # Every bound here is at most n, and a bound's limit exceeds
+        # 2**64 minus the bound, so a draw below ``cut`` is accepted
+        # without computing its limit.
+        cut = _TWO64 - n
+        state = self._state
         for i in range(count):
-            j = i + self.below(n - i)
+            bound = n - i
+            while True:
+                state = (state + _GAMMA) & _MASK64
+                z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+                z ^= z >> 31
+                if z < cut or z < _limit(bound):
+                    break
+            j = i + z % bound
             items[i], items[j] = items[j], items[i]
+        self._state = state
         return items[:count]
+
+
+def _limit(bound: int) -> int:
+    """The rejection limit of a draw below ``bound``: the largest multiple
+    of ``bound`` that is at most 2**64.  A draw under it, taken modulo
+    ``bound``, is uniform."""
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    if bound > _TWO64:
+        raise ValueError(f"bound {bound} exceeds 2**64")
+    return _TWO64 - _TWO64 % bound
 
 
 def density_to_e(step_count: int, density: float) -> int:
@@ -124,17 +166,49 @@ class GeneratorConfig:
         return USERS_PER_STEP * self.step_count if self.users is None else self.users
 
 
+def _user_steps(rng: SplitMix64, n: int, k: int) -> list[list[int]]:
+    """Each of n users' steps, in draw order: the draws of
+    ``rng.take(list(range(k)), 1 + rng.below(ceil(k / 2)))`` per user,
+    with the draw loop inline and the state written back once."""
+    max_auth = math.ceil(k / 2)
+    size_limit = _limit(max_auth)
+    cut = _TWO64 - k  # as in take: every bound is at most k
+    steps = range(k)
+    out = []
+    state = rng._state
+    for _ in range(n):
+        while True:
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            z ^= z >> 31
+            if z < size_limit:
+                break
+        m = 1 + z % max_auth
+        items = list(steps)
+        for i in range(m):
+            bound = k - i
+            while True:
+                state = (state + _GAMMA) & _MASK64
+                z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+                z ^= z >> 31
+                if z < cut or z < _limit(bound):
+                    break
+            j = i + z % bound
+            items[i], items[j] = items[j], items[i]
+        out.append(items[:m])
+    rng._state = state
+    return out
+
+
 def generate(config: GeneratorConfig) -> WorkflowInstance:
     """Draw one instance; the same config always yields the same instance."""
     rng = SplitMix64(config.seed)
     k = config.step_count
     n = config.user_count
-    max_auth = math.ceil(k / 2)
 
-    user_steps = []
-    for _ in range(n):
-        m = 1 + rng.below(max_auth)
-        user_steps.append(sorted(rng.take(list(range(k)), m)))
+    user_steps = _user_steps(rng, n, k)
 
     constraints: list[UserIndependentConstraint] = []
     all_pairs = [(s, t) for s in range(k) for t in range(s + 1, k)]

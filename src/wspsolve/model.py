@@ -17,21 +17,27 @@ Instance file format (UTF-8, line oriented, ``#`` starts a comment):
 Solution file format: ``sat`` followed by one ``assign <step> <user>``
 line per step, or a single ``unsat`` / ``timeout`` line.
 
-Reading is linear in the size of the file.  Each auth line becomes its
-user's row, a bitmask over the steps; the rows are laid out as one byte
-grid, and ``_columns`` reads each step's user mask off the grid with a
-few C calls.  OR-ing each user's bit into its steps' masks would copy an
-n-bit int per entry, quadratic in the user count n.
-``AuthorisationLists.from_user_steps`` builds the same grid from its
-step lists.
+Reading and writing are both linear in the size of the file, with one
+kernel each way between the per-step user masks and the per-user rows.
+Each auth line becomes its user's row, a bitmask over the steps; the
+rows are laid out as one byte grid, and ``_columns`` reads each step's
+user mask off the grid with a few C calls.  OR-ing each user's bit into
+its steps' masks would copy an n-bit int per entry, quadratic in the
+user count n.  ``AuthorisationLists.from_user_steps`` builds the same
+grid from its step lists.  The writer's ``_rows`` is the inverse: it
+spreads each step's mask, one bit per byte, into a strided slice of one
+n-by-k cell grid and slices each user's row off it, so
+``serialize_instance`` and the ``user_steps`` view never walk a mask
+bit by bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 from operator import or_
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .constraints import (
     AtLeast,
@@ -49,13 +55,9 @@ UserId = int
 Plan = dict[StepId, UserId]
 
 
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
-
-
-# Maps a cell byte, 0 or 1, to its ASCII digit.
+# Map a cell byte, 0 or 1, to its ASCII digit, and back.
 _CELL_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_DIGIT_CELLS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _from_cells(cells: bytearray) -> int:
@@ -66,6 +68,12 @@ def _from_cells(cells: bytearray) -> int:
     digits by C calls linear in their count.
     """
     return int(cells.translate(_CELL_DIGITS)[::-1] or b"0", 2)
+
+
+def _cells(mask: int) -> bytes:
+    """The inverse of ``_from_cells``: byte i is bit i of ``mask``, up to
+    its highest set bit (one 0 byte for 0)."""
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_CELLS)
 
 
 def _mask(indices: Iterable[int], limit: int, what: str) -> int:
@@ -114,6 +122,26 @@ def _columns(grid: bytes, width: int) -> list[int]:
     return masks
 
 
+def _rows(columns: Sequence[int], height: int) -> Iterator[bytearray]:
+    """The rows of the bit matrix whose column c is ``columns[c]``, the
+    inverse of ``_columns``.
+
+    Byte c of row r is bit r of column c.  Each column's bits, spread
+    one to a byte by ``_cells``, fill a strided slice of one
+    ``height * width`` cell grid, and each row is then a slice of the
+    grid: a few C calls per column and one per row, linear in the
+    grid's size.  Every column needs at most ``height`` bits.  The rows
+    are sliced off as the caller reads them.
+    """
+    width = len(columns)
+    grid = bytearray(height * width)
+    for c, mask in enumerate(columns):
+        if mask:
+            cells = _cells(mask)
+            grid[c : len(cells) * width : width] = cells
+    return (grid[r * width : (r + 1) * width] for r in range(height))
+
+
 @dataclass(frozen=True)
 class AuthorisationLists:
     """Authorisation relation: one bitmask over users per step.
@@ -136,19 +164,16 @@ class AuthorisationLists:
 
     @property
     def step_users(self) -> tuple[frozenset[UserId], ...]:
-        return tuple(frozenset(_bits(m)) for m in self.step_user_masks)
+        users = range(self.user_count)
+        return tuple(frozenset(compress(users, _cells(m))) for m in self.step_user_masks)
 
     @property
     def user_steps(self) -> tuple[frozenset[StepId], ...]:
-        return tuple(map(frozenset, self._user_step_lists()))
-
-    def _user_step_lists(self) -> list[list[StepId]]:
-        """Each user's steps in ascending order, from one pass over the masks."""
-        steps_of: list[list[StepId]] = [[] for _ in range(self.user_count)]
-        for s, mask in enumerate(self.step_user_masks):
-            for u in _bits(mask):
-                steps_of[u].append(s)
-        return steps_of
+        steps = range(len(self.step_user_masks))
+        return tuple(
+            frozenset(compress(steps, row))
+            for row in _rows(self.step_user_masks, self.user_count)
+        )
 
     @classmethod
     def from_user_steps(
@@ -402,8 +427,9 @@ def parse_instance(text: str) -> WorkflowInstance:
 def serialize_instance(instance: WorkflowInstance) -> str:
     """Inverse of parse_instance: parse(serialize(x)) == x field for field."""
     out = [f"wsp {instance.step_count} {instance.user_count}"]
-    for u, steps in enumerate(instance.auth._user_step_lists()):
-        out.append(" ".join(["auth", str(u), *map(str, steps)]))
+    names = list(map(str, range(instance.step_count)))
+    for u, row in enumerate(_rows(instance.auth.step_user_masks, instance.user_count)):
+        out.append(" ".join(["auth", str(u), *compress(names, row)]))
     for c in instance.constraints:
         if isinstance(c, NotEquals):
             out.append(f"ne {c.s} {c.t}")

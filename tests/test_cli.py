@@ -12,10 +12,19 @@ import pytest
 
 from conftest import GOLDEN_TEXT
 import wspsolve
-from wspsolve import Valid, parse_instance, parse_solution, validate_plan
+from wspsolve import (
+    GeneratorConfig,
+    Valid,
+    generate,
+    parse_instance,
+    parse_solution,
+    serialize_instance,
+    validate_plan,
+)
 from wspsolve.cli import (
     BenchRecord,
     SuiteSpec,
+    instance_id,
     main,
     parse_duration,
     parse_suite,
@@ -226,6 +235,23 @@ def test_generate_suite_files(tmp_path, capsys):
         assert parse_instance(p.read_text()).step_count == 5
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 3
+
+
+def test_generate_wide_instance_round_trips(tmp_path):
+    out = tmp_path / "wide.wsp"
+    argv = ["generate", "--steps", "30", "--users", "20000", "-d", "10", "-c", "30"]
+    assert run_cli(*argv, "--seed", "3", "--out", str(out)) == 0
+    assert parse_instance(out.read_text()) == generate(GeneratorConfig(30, 44, 30, 3, users=20000))
+
+
+def test_generate_suite_writes_the_serialized_instances(tmp_path):
+    suite = "k=6,9 d=20 c=0.5k,1.0k seeds=4..5"
+    assert run_cli("generate", "--suite", suite, "--out-dir", str(tmp_path)) == 0
+    configs = parse_suite(suite).configs()
+    assert len(configs) == len(list(tmp_path.iterdir())) == 8
+    for config in configs:
+        path = tmp_path / f"{instance_id(config, 20)}.wsp"
+        assert path.read_text() == serialize_instance(generate(config))
 
 
 # --- enumerate ---------------------------------------------------------------

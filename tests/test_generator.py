@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import stats
 
 from wspsolve import (
@@ -22,6 +25,81 @@ from wspsolve import (
 #: generator must reproduce these exactly.
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
 SPLITMIX64_SEED1234567 = (0x599ED017FB08FC85, 0x2C73F08458540FA5)
+
+
+#: sha256 of ``serialize_instance(generate(config))`` for each config below,
+#: frozen when the draw loop was first inlined: every draw, rejection and
+#: swap must stay as it was.
+PINNED_DIGESTS = {
+    # The benchmark's wide-users shape: k=30, d=10, c=30, 20,000 users.
+    (30, 44, 30, 0, 20000): "6c410461422a5064cce1aca49f16cc4f038af8d041fac23ae081fb9b847b7541",
+    (30, 44, 30, 1, 20000): "58997bb2162fc8ad833769f7e62840f2b8192231b1a77ef9ad01978e50a95ab8",
+    # The paper's suite, k=30 d=10 c=1.0k,1.2k,1.4k, seeds 0..2.
+    (30, 44, 30, 0, None): "e2599345d8745b43c0aa5ec2c5ab19348d84efbad4177ebed53b37c0b40da9c5",
+    (30, 44, 36, 0, None): "94d32f2fe1afecbcff2962e9de1504e74dff90685753b58fc2639cb952efdc9b",
+    (30, 44, 42, 0, None): "cdac6d3f03060647ab8687419d6caa980ce415da5769862a6eb30c5fad934b27",
+    (30, 44, 30, 1, None): "bbe808e773d827f53d7d9bb63e4704f0633a18967775957431e62d41b949d650",
+    (30, 44, 36, 1, None): "07796badb7274607d9d02eac2024c116cd44a0c0619d7badfe09931b3748f9b2",
+    (30, 44, 42, 1, None): "823884b78d8faa463965de324c15860e04095427c9100237384d80790fd03029",
+    (30, 44, 30, 2, None): "b645e4c80656a1955ce7b3e8589ee737f208ec01b213e590714ad8a9ed50b4d7",
+    (30, 44, 36, 2, None): "492e6803ee4cc7c2bca2d3c969180c9a815f62ccb783115d913b2a13fa78076a",
+    (30, 44, 42, 2, None): "06b6ec0cd39141978870f3560d3ab57b246ba04a2fc77cc120834e406fbbb22f",
+    # One larger-k instance: k=40 d=10 c=1.0k, seed 0.
+    (40, 78, 40, 0, None): "1a4edec343d4560720d31798ee3c97ebe371a0ed39e45c7e6751aa3ec69e3778",
+}
+
+
+def below_reference(rng, bound):
+    """``below`` as one ``next_u64`` call per draw, the published stream."""
+    limit = 2**64 - 2**64 % bound
+    while True:
+        x = rng.next_u64()
+        if x < limit:
+            return x % bound
+
+
+def take_reference(rng, items, count):
+    for i in range(count):
+        j = i + below_reference(rng, len(items) - i)
+        items[i], items[j] = items[j], items[i]
+    return items[:count]
+
+
+def generate_reference(cfg):
+    """The generator's draw order, spelled out over the reference draws."""
+    rng = SplitMix64(cfg.seed)
+    k = cfg.step_count
+    users = [
+        frozenset(take_reference(rng, list(range(k)), 1 + below_reference(rng, math.ceil(k / 2))))
+        for _ in range(cfg.user_count)
+    ]
+    pairs = [(s, t) for s in range(k) for t in range(s + 1, k)]
+    constraints = [NotEquals(s, t) for s, t in take_reference(rng, pairs, cfg.not_equals)]
+    for kind in (AtMost, AtLeast):
+        for _ in range(cfg.counting):
+            constraints.append(kind(3, frozenset(take_reference(rng, list(range(k)), 5))))
+    return users, tuple(constraints)
+
+
+class SparseList:
+    """A list of ``n`` items, item i being i until it is overwritten, held
+    as a dict of the overwritten ones: lets ``take`` run on a length near
+    2**63, where draws need the exact rejection limit."""
+
+    def __init__(self, n):
+        self.n = n
+        self.moved = {}
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self.n))]
+        return self.moved.get(i, i)
+
+    def __setitem__(self, i, value):
+        self.moved[i] = value
 
 
 # --- the pinned RNG ----------------------------------------------------------
@@ -55,6 +133,52 @@ def test_below_takes_bounds_up_to_two_to_the_64():
     # One 64-bit draw cannot cover more values; rejection would never end.
     with pytest.raises(ValueError):
         r.below(2**64 + 1)
+
+
+def test_bound_errors_are_kept():
+    r = SplitMix64(42)
+    with pytest.raises(ValueError, match=r"^bound must be positive$"):
+        r.below(0)
+    with pytest.raises(ValueError, match=r"^bound must be positive$"):
+        r.below(-1)
+    with pytest.raises(ValueError, match=r"^bound 18446744073709551617 exceeds 2\*\*64$"):
+        r.below(2**64 + 1)
+    # A count above the length reaches a bound of 0.
+    with pytest.raises(ValueError, match=r"^bound must be positive$"):
+        r.take([1, 2], 3)
+    # The failed calls drew nothing.
+    assert r.next_u64() == SplitMix64(42).next_u64()
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(1, 2**64), st.integers(0, 5))
+@example(7, 2**63 + 1, 5)  # about half of all draws are rejected
+@example(7, 2**64, 5)  # nothing is rejected
+def test_below_draws_the_published_stream(seed, bound, extra):
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    assert [rng.below(bound) for _ in range(extra + 1)] == [
+        below_reference(ref, bound) for _ in range(extra + 1)
+    ]
+    assert rng.next_u64() == ref.next_u64()
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 40), st.data())
+def test_take_draws_the_published_stream(seed, n, data):
+    count = data.draw(st.integers(0, n), label="count")
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    items, ref_items = list(range(n)), list(range(n))
+    assert rng.take(items, count) == take_reference(ref, ref_items, count)
+    assert items == ref_items
+    assert rng.next_u64() == ref.next_u64()
+
+
+def test_take_on_a_length_near_two_to_the_63():
+    # About half of these draws lie above 2**64 - len, where take checks
+    # the bound's exact rejection limit.
+    n = 2**63 - 1
+    for seed in range(3):
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        assert rng.take(SparseList(n), 40) == take_reference(ref, SparseList(n), 40)
+        assert rng.next_u64() == ref.next_u64()
 
 
 def test_take_prefixes():
@@ -163,6 +287,31 @@ def test_generate_pinned_instance():
     assert inst.constraints[:2] == (NotEquals(0, 2), NotEquals(0, 3))
     assert inst.constraints[2] == AtMost(3, frozenset(range(5)))
     assert inst.constraints[3] == AtLeast(3, frozenset(range(5)))
+
+
+@given(
+    st.integers(1, 12),
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 30),
+    st.data(),
+)
+def test_generate_matches_the_reference_draws(k, seed, users, data):
+    e = data.draw(st.integers(0, k * (k - 1) // 2), label="e")
+    c = data.draw(st.integers(0, 3 if k >= 5 else 0), label="c")
+    cfg = GeneratorConfig(k, e, c, seed, users=users)
+    inst = generate(cfg)
+    ref_users, ref_constraints = generate_reference(cfg)
+    assert inst.auth.user_steps == tuple(ref_users)
+    assert inst.constraints == ref_constraints
+
+
+@pytest.mark.parametrize(
+    "k, e, c, seed, users", list(PINNED_DIGESTS), ids=lambda v: str(v)
+)
+def test_generated_texts_are_pinned(k, e, c, seed, users):
+    assert density_to_e(k, 10) == e
+    text = serialize_instance(generate(GeneratorConfig(k, e, c, seed, users=users)))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGESTS[k, e, c, seed, users]
 
 
 # --- uniformity (chi-square, significance pinned at 0.001) --------------------

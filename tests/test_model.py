@@ -38,6 +38,21 @@ def make_instance(k, n, auth, constraints=()):
     )
 
 
+def bits_reference(mask):
+    """Indices of the set bits of ``mask``, ascending: the per-character
+    walk of ``bin(mask)`` that the writer's byte grid replaced."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def auth_lines_reference(auth):
+    """The auth lines of ``serialize_instance``, one mask bit at a time."""
+    steps_of = [[] for _ in range(auth.user_count)]
+    for s, mask in enumerate(auth.step_user_masks):
+        for u in bits_reference(mask):
+            steps_of[u].append(s)
+    return [" ".join(["auth", str(u), *map(str, steps)]) for u, steps in enumerate(steps_of)]
+
+
 def per_entry_masks(k, user_steps):
     """Reference builder: OR each user's bit into each of its steps' masks."""
     masks = [0] * k
@@ -233,6 +248,43 @@ def test_reader_and_builder_match_per_entry_masks(data):
     assert parse_instance(serialize_instance(inst)) == inst
 
 
+@st.composite
+def auth_matrices(draw):
+    """Masks on both sides of a byte and of a machine word, with the top
+    user's bit set on some step and some user on no step."""
+    k = draw(st.one_of(st.sampled_from([1, 8, 9, 65]), st.integers(1, 70)), label="k")
+    n = draw(st.one_of(st.just(1), st.integers(1, 150)), label="n")
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k), label="masks")
+    if draw(st.booleans(), label="top bit"):
+        masks[draw(st.integers(0, k - 1))] |= 1 << (n - 1)
+    if draw(st.booleans(), label="idle user"):
+        idle = draw(st.integers(0, n - 1))
+        masks = [m & ~(1 << idle) for m in masks]
+    return AuthorisationLists(n, tuple(masks))
+
+
+@given(auth_matrices())
+@example(AuthorisationLists(1, (0,)))  # a bare "auth 0" line
+@example(AuthorisationLists(1, (1,) * 65))
+@example(AuthorisationLists(9, (1 << 8, 0, (1 << 9) - 1, 0, 0, 0, 0, 0, 1 << 8)))
+@example(AuthorisationLists(64, ((1 << 64) - 1, 1 << 63, 0, 1, 5, 0, 0, 1 << 63)))
+def test_writer_matches_the_bit_walk(auth):
+    k, n = len(auth.step_user_masks), auth.user_count
+    inst = WorkflowInstance(k, n, auth, ())
+    ref_lines = auth_lines_reference(auth)
+    assert auth.step_users == tuple(frozenset(bits_reference(m)) for m in auth.step_user_masks)
+    assert auth.user_steps == tuple(frozenset(map(int, line.split()[2:])) for line in ref_lines)
+    text = serialize_instance(inst)
+    assert text == "\n".join([f"wsp {k} {n}", *ref_lines]) + "\n"
+    assert parse_instance(text) == inst
+
+
+def test_set_views_of_an_empty_relation():
+    assert AuthorisationLists(3, ()).user_steps == (frozenset(),) * 3
+    assert AuthorisationLists(0, (0, 0)).step_users == (frozenset(), frozenset())
+    assert AuthorisationLists(0, (0, 0)).user_steps == ()
+
+
 def test_serialize_rejects_never():
     inst = make_instance(2, 1, [{0, 1}], [Never(frozenset({0}), "x")])
     with pytest.raises(ValueError):
@@ -314,8 +366,9 @@ def test_builders_name_the_first_index_out_of_range():
         (1 << 3, "8"),
         (2.0, "2.0"),
         ("1", "'1'"),
+        (None, "None"),
     ],
-    ids=["negative", "oversize", "float", "str"],
+    ids=["negative", "oversize", "float", "str", "none"],
 )
 def test_mask_check_names_the_first_bad_mask(bad, text):
     # The bad mask sits between good ones, and a second bad one follows
@@ -323,6 +376,16 @@ def test_mask_check_names_the_first_bad_mask(bad, text):
     masks = (0b101, bad, 0b111, -(1 << 70), 1 << 70)
     with pytest.raises(ValueError, match=rf"^{re.escape(text)} is not a mask over 3 users$"):
         AuthorisationLists(3, masks)
+
+
+def test_mask_check_takes_int_subclasses():
+    class Mask(int):
+        pass
+
+    masks = (Mask(5), 1, Mask(0))
+    assert AuthorisationLists(3, masks).step_user_masks == masks
+    with pytest.raises(ValueError, match=r"^8 is not a mask over 3 users$"):
+        AuthorisationLists(3, (Mask(1), Mask(8)))
 
 
 def test_mask_check_takes_bools_as_ints():
