@@ -18,19 +18,20 @@ same grouping twice.  Four prunes cut the tree:
   block's users and opening a block only adds a vertex, so a partial
   pattern without one has no realisable completion (Hall's theorem).
 
-The forward check looks only at the steps the extension can have
-starved.  The root check gives every step a user, so a fresh label is
-always authorised, and of the built-in constraints only an at-most
-scope with no room left excludes it.  A step outside such a scope
-therefore always has a label.  Extending step s can starve the other
-steps of its at-most scopes, by spending their last room or by shrinking
-a block they could join, and its not-equals neighbours, by taking a
-label they could use; ``SearchState.forward`` lists both per step, and
-a step with neither pays one truthiness test.  Other ways to starve a
-step go unseen: an at-least scope reaching zero room, a block shrunk by
-a step outside the starved step's scopes, and the generic constraints,
-which are left to ``extension_eligible``.  Missing them only makes the
-check weaker, never unsound.
+The eligibility and forward prunes read one label domain per step (see
+``SearchState``), narrowed by each extension and restored on backtrack,
+as in forward checking after Haralick and Elliott.  The root check gives
+every step a user, so the fresh label is always authorised, and in the
+pruned walk only a full at-most scope, one with no room left, takes it
+from a domain: without at-most constraints no step can starve, and the
+check is skipped.  Extending step s can starve a step whose domain it
+narrowed (a not-equals neighbour, or a step of a scope left with no
+room, at-most or at-least alike, so ``forward_prunes`` counts at-least
+starvation too) and the other steps of s's full at-most scopes, whose
+blocks s may have narrowed; the check inspects exactly these.  A block narrowed by a step
+outside the starved step's scopes goes unseen, as do the generic
+constraints, left to ``extension_eligible``; missing them only makes
+the check weaker, never unsound.
 
 The matching prune keeps one held block -> user matching in the walk's
 locals, beside the chosen steps, with a per-depth trail that the
@@ -56,9 +57,8 @@ caller reads it from ``EnumerationOutcome.plans``.
 Per-constraint state is flat: a bitmask of the labels each counting
 constraint's scope uses, its room (how many more fresh labels an
 at-most scope, or reused labels an at-least scope, can take before no
-completion satisfies it), and one score per step.  Eligibility is
-decided once per node as a bitmask of the labels the selected step may
-take, and each candidate label reads its bit.
+completion satisfies it), one score per step and one label domain per
+step, whose bit each candidate label reads.
 """
 
 from __future__ import annotations
@@ -128,9 +128,17 @@ class SearchState:
     at-least one on each label its scope already uses; a constraint
     whose room is negative has no satisfying completion.  ``score[s]``
     is the selection score of step s: its not-equals count plus the
-    at-most weights, or -inf once s is assigned.  The trail records
-    which constraints gained the new label and which spent room, so
-    retract undoes exactly those.
+    at-most weights, or -inf once s is assigned.
+
+    ``domain[s]`` is the bitmask of the labels unassigned step s may
+    still take.  Every bit above ``pattern.max_label`` is alike, so the
+    bit of the fresh label says whether s may open a block.  Along a
+    branch a domain only shrinks: an extension clears its label from
+    the not-equals neighbours, and once a scope has no room left it
+    narrows the scope's steps to the labels that spend none.  The trail
+    records which constraints gained the new label, which spent room
+    and each domain an extension narrowed, so retract undoes exactly
+    those.
     """
 
     def __init__(self, instance: WorkflowInstance):
@@ -156,7 +164,6 @@ class SearchState:
         self.ct_room: list[int] = []
         counting: list[list[tuple[int, bool, tuple[int, ...]]]] = [[] for _ in range(k)]
         gen_by_step: list[list] = [[] for _ in range(k)]
-        at_most_steps: set[int] = set()
 
         for c in instance.constraints:
             if isinstance(c, NotEquals):
@@ -170,8 +177,6 @@ class SearchState:
                 entry = (len(self.ct_room), at_most, scope)
                 self.ct_labels.append(0)
                 self.ct_room.append(c.r if at_most else len(scope) - c.r)
-                if at_most:
-                    at_most_steps.update(scope)
                 for s in scope:
                     counting[s].append(entry)
                     if at_most:
@@ -181,30 +186,13 @@ class SearchState:
                     gen_by_step[s].append(c)
         self.ne_other = [tuple(x) for x in ne_other]
         self._counting = [tuple(x) for x in counting]
-        # forward[s] lists the steps an extend of s can leave without a
-        # label (see starved): each at-most scope on s, as its index and
-        # its other steps, and the not-equals neighbours of s that lie in
-        # some at-most scope.  None when s has neither: s lies in no
-        # at-most scope and neighbours none of their steps, so on an
-        # instance without at-most constraints no list is built.
-        self.forward: list[tuple | None] = [None] * k
-        for s in at_most_steps.union(*(ne_other[q] for q in at_most_steps)):
-            scopes = tuple(
-                (ci, tuple(q for q in scope if q != s))
-                for ci, at_most, scope in counting[s]
-                if at_most
-            )
-            neighbours = tuple(q for q in ne_other[s] if q in at_most_steps)
-            self.forward[s] = scopes, neighbours
         self.gen_by_step = [tuple(x) for x in gen_by_step]
         self.score = score
-        self._trail: list[tuple[int, int, float, list[int], list[tuple]]] = []
-        # Eligible-label bitmask per depth, valid while _elig_step[depth]
-        # names the step it was computed for.  Reaching a depth by extend
-        # clears its entry; retract restores an earlier state exactly, so
-        # the entries of shallower depths stay valid.
-        self._elig_step = [-1] * (k + 1)
-        self._elig_mask = [0] * (k + 1)
+        # Every label from 1 up: at the empty pattern no scope's room is
+        # negative, and a scope with none (at-least r = |scope|) uses no
+        # label yet, so it excludes none.
+        self.domain = [-2] * k
+        self._trail: list[tuple[int, int, float, list[int], list[tuple], list[tuple]]] = []
 
     # -- heuristic ----------------------------------------------------------
 
@@ -221,11 +209,18 @@ class SearchState:
     def extend(self, step: int, label: int) -> None:
         pattern = self.pattern
         pattern.extend(step, label)
-        self._elig_step[pattern.assigned_count] = -1
+        entries = pattern.entries
         score = self.score
         saved = score[step]
         score[step] = _ASSIGNED
         bit = 1 << label
+        domain = self.domain
+        narrowed = []
+        for q in self.ne_other[step]:
+            d = domain[q]
+            if d & bit and not entries[q]:
+                domain[q] = d ^ bit
+                narrowed.append((q, d))
         labels = self.ct_labels
         room = self.ct_room
         fresh = []
@@ -236,19 +231,30 @@ class SearchState:
             if new:
                 labels[ci] |= bit
                 fresh.append(ci)
+            g = room[ci]
             # At-most spends room on a fresh label, at-least on a reused one.
             if new == at_most:
-                g = room[ci]
-                room[ci] = g - 1
+                g -= 1
+                room[ci] = g
                 spent.append(entry)
-                if at_most and 0 <= g <= 3:
-                    delta = _SPEND_DELTA[g]
+                if at_most and -1 <= g <= 2:
+                    delta = _SPEND_DELTA[g + 1]
                     for q in scope:
                         score[q] += delta
-        self._trail.append((step, label, saved, fresh, spent))
+            # With no room left a label may not spend any: at-most keeps
+            # the labels its scope uses, at-least the ones it does not.
+            # An at-most scope's labels change only with a fresh label.
+            if g <= 0 and (new or not at_most):
+                keep = 0 if g else labels[ci] if at_most else ~labels[ci]
+                for q in scope:
+                    d = domain[q]
+                    if d & keep != d and not entries[q]:
+                        domain[q] = d & keep
+                        narrowed.append((q, d))
+        self._trail.append((step, label, saved, fresh, spent, narrowed))
 
     def retract(self) -> None:
-        step, label, saved, fresh, spent = self._trail.pop()
+        step, label, saved, fresh, spent, narrowed = self._trail.pop()
         if fresh:
             keep = ~(1 << label)
             labels = self.ct_labels
@@ -263,42 +269,23 @@ class SearchState:
                 delta = _SPEND_DELTA[g]
                 for q in scope:
                     score[q] -= delta
+        domain = self.domain
+        for q, d in reversed(narrowed):
+            domain[q] = d
         score[step] = saved
         self.pattern.retract()
 
     # -- extension viability -----------------------------------------------
 
-    def _eligible_labels(self, step: int) -> int:
-        """Bitmask of the labels in 1..max_label+1 that pass the counters."""
-        pattern = self.pattern
-        mask = (2 << (pattern.max_label + 1)) - 2
-        entries = pattern.entries
-        for t in self.ne_other[step]:
-            mask &= ~(1 << entries[t])
-        room = self.ct_room
-        labels = self.ct_labels
-        # With no room left a label may not spend any: at-most keeps the
-        # labels its scope uses, at-least the ones it does not.
-        for ci, at_most, _ in self._counting[step]:
-            r = room[ci]
-            if r <= 0:
-                if r:
-                    return 0
-                mask &= labels[ci] if at_most else ~labels[ci]
-        return mask
-
     def extension_eligible(self, step: int, label: int) -> bool:
         """Would assigning ``label`` to ``step`` leave every constraint repairable?
 
-        Decided from the incremental counters without mutating the
-        pattern; equivalent to extending and asking each constraint
-        touching ``step`` for a partial check.
+        Decided from the step's domain and the generic constraints'
+        partial checks without mutating the pattern; equivalent to
+        extending and asking each constraint touching ``step`` for a
+        partial check.
         """
-        depth = self.pattern.assigned_count
-        if self._elig_step[depth] != step:
-            self._elig_mask[depth] = self._eligible_labels(step)
-            self._elig_step[depth] = step
-        if not self._elig_mask[depth] >> label & 1:
+        if not self.domain[step] >> label & 1:
             return False
         generic = self.gen_by_step[step]
         if generic:
@@ -315,30 +302,31 @@ class SearchState:
     def starved(self, step: int) -> bool:
         """Did extending ``step`` leave some unassigned step without a label?
 
-        Only the steps ``forward[step]`` lists can have been starved:
-        the other steps of its at-most scopes, read only once a scope
-        has no room left, and its not-equals neighbours (see the module
-        docstring).
+        Only two kinds of step can have been starved (see the module
+        docstring): those whose domain the extension narrowed, and the
+        other steps of its at-most scopes with no room left, whose
+        labels' blocks it may have narrowed.
         """
-        scopes, neighbours = self.forward[step]
+        labelless = self._labelless
+        for q, _ in self._trail[-1][5]:
+            if labelless(q):
+                return True
         room = self.ct_room
         entries = self.pattern.entries
-        for ci, others in scopes:
-            if not room[ci]:
-                for q in others:
-                    if not entries[q] and self._labelless(q):
+        for ci, at_most, scope in self._counting[step]:
+            if at_most and not room[ci]:
+                for q in scope:
+                    if not entries[q] and labelless(q):
                         return True
-        for q in neighbours:
-            if not entries[q] and self._labelless(q):
-                return True
         return False
 
     def _labelless(self, step: int) -> bool:
-        """Does no eligible label give unassigned ``step`` an authorised user?"""
+        """Does no label in the domain give unassigned ``step`` an authorised user?"""
         pattern = self.pattern
-        mask = self._eligible_labels(step)
-        if mask >> (pattern.max_label + 1):
+        mask = self.domain[step]
+        if mask >> (pattern.max_label + 1) & 1:
             return False  # the fresh label
+        # Without the fresh bit no higher bit is set either.
         auth = self.auth[step]
         block_masks = pattern.block_masks
         while mask:
@@ -371,8 +359,10 @@ def _search(
     select_step = state.select_step
     eligible = state.extension_eligible
     starved = state.starved
-    # The forward check is one of the prunes.
-    forward = state.forward if prune else [None] * k
+    # The forward check is one of the prunes.  Without an at-most scope
+    # every step keeps the fresh label, which the root check authorises,
+    # so no step can starve.
+    forward = prune and any(isinstance(c, AtMost) for c in constraints)
     clock = time.perf_counter
     nodes = 1  # the root
     auth_prunes = eligibility_prunes = forward_prunes = matching_prunes = 0
@@ -450,7 +440,7 @@ def _search(
                 raise _Timeout
             depth += 1
             if depth < k:
-                if forward[step] and starved(step):
+                if forward and starved(step):
                     # Back out of the new depth as if it were exhausted,
                     # which retracts the extend and restores the matching.
                     forward_prunes += 1

@@ -171,6 +171,13 @@ _OPS = st.lists(
     full_auth(3, 3, [AtLeast(3, frozenset({0, 1, 2}))]),
     [(0, 0, 0, False), (0, 0, 0, False), (0, 0, 0, False)],
 )
+# Step 0 brings a fresh label into an at-least scope with no room to
+# reuse one, and step 1 another: the room stays at 0 while the domain of
+# step 2 loses each label in turn.
+@example(
+    full_auth(4, 3, [AtLeast(3, frozenset({0, 1, 2}))]),
+    [(0, 0, 0, False), (0, 1, 0, False), (0, 0, 0, False)],
+)
 @settings(max_examples=80)
 def test_extension_eligible_matches_constraint_checks(inst, ops):
     state = SearchState(inst)
@@ -209,6 +216,7 @@ def test_search_state_counters_survive_retract(inst, data):
             list(state.ct_labels),
             list(state.ct_room),
             list(state.score),
+            list(state.domain),
             list(pattern.entries),
             list(pattern.block_masks),
             pattern.max_label,
@@ -353,22 +361,76 @@ def test_forward_check_cuts_a_starved_step():
     assert out.stats.forward_prunes >= 1
 
 
-def test_forward_lists_name_only_steps_an_at_most_scope_can_starve():
+def test_domains_narrow_only_where_an_extension_can_starve():
     state = SearchState(
         full_auth(5, 3, [NotEquals(0, 1), NotEquals(1, 2), AtMost(1, frozenset({2, 3}))])
     )
-    assert state.forward == [
-        None,  # its neighbour 1 lies in no at-most scope
-        ((), (2,)),
-        (((0, (3,)),), ()),
-        (((0, (2,)),), ()),
-        None,
-    ]
+    every = -2  # every label from 1 up
+    assert state.domain == [every] * 5
+    # Step 0's neighbour 1 lies in no at-most scope: it loses label 1 but
+    # keeps the fresh label, so it is not starved.
+    state.extend(0, 1)
+    assert state.domain == [every, every & ~0b10, every, every, every]
+    assert not state.starved(0)
+    # Step 4 touches no constraint, so no domain narrows.
+    state.extend(4, 2)
+    assert state.domain == [every, every & ~0b10, every, every, every]
+    assert not state.starved(4)
+    state.retract()
+    # Step 3 spends the at-most scope's one label: step 2 may only join
+    # its block, which still has users.
+    state.extend(3, 2)
+    assert state.domain == [every, every & ~0b10, 0b100, every, every]
+    assert not state.starved(3)
+    # Step 1 takes that label, so its neighbour 2 has none left.
+    state.extend(1, 2)
+    assert state.domain == [every, every & ~0b10, 0, every, every]
+    assert state.starved(1)
+    state.retract()
+    state.retract()
+    # Step 2 spends the scope's label the other way round: step 3 may
+    # only join its block, and the neighbour 1 loses label 2 as well.
+    state.extend(2, 2)
+    assert state.domain == [every, every & ~0b110, every, 0b100, every]
+    assert not state.starved(2)
+    state.retract()
+    state.retract()
+    assert state.domain == [every] * 5
+
+
+def test_forward_check_sees_an_at_least_scope_starve_a_step():
+    # Step 2 spends the at-most scope's one label, so step 1 may only join
+    # block 1.  Step 0 lies in no at-most scope; it takes label 1 into the
+    # at-least scope, which has no room to reuse it, so step 1 has no
+    # label left.
+    state = SearchState(
+        full_auth(3, 3, [AtMost(1, frozenset({1, 2})), AtLeast(2, frozenset({0, 1}))])
+    )
+    state.extend(2, 1)
+    assert state.domain[1] == 0b10
+    state.extend(0, 1)
+    assert state.domain[1] == 0
+    assert state.starved(0)
+
+
+def test_forward_check_sees_a_block_narrow_under_a_full_scope():
+    # Step 0 spends the at-most scope's one label; step 1 joins its block,
+    # which narrows no domain but keeps only user 0, while step 2's one
+    # user is 1.
+    state = SearchState(
+        make_instance(3, 2, [{0, 1}, {0}, {1}], [AtMost(1, frozenset({0, 1, 2}))])
+    )
+    state.extend(0, 1)
+    assert not state.starved(0)
+    state.extend(1, 1)
+    assert state.domain[2] == 0b10
+    assert state.starved(1)
 
 
 @st.composite
 def saturated_instances(draw):
-    """Instances whose at-most scopes fill up: r of 1 or 2 over 2 to 4 steps."""
+    """Instances whose counting scopes fill up: at-most r of 1 or 2 over 2
+    to 4 steps, and at-least scopes with room for at most one reuse."""
     k = draw(st.integers(2, 6))
     n = draw(st.integers(2, 6))
     steps = st.integers(0, k - 1)
@@ -377,6 +439,9 @@ def saturated_instances(draw):
     for _ in range(draw(st.integers(1, 3))):
         scope = draw(st.frozensets(steps, min_size=2, max_size=4))
         constraints.append(AtMost(draw(st.integers(1, 2)), scope))
+    for _ in range(draw(st.integers(0, 2))):
+        scope = draw(st.frozensets(steps, min_size=2, max_size=4))
+        constraints.append(AtLeast(draw(st.integers(len(scope) - 1, len(scope))), scope))
     for _ in range(draw(st.integers(0, 4))):
         s, t = draw(st.lists(steps, min_size=2, max_size=2, unique=True))
         constraints.append(draw(st.sampled_from([NotEquals, BindingOfDuty]))(s, t))
@@ -391,6 +456,21 @@ def saturated_instances(draw):
 # Step 0 goes first and takes label 1; its neighbour 1 lies in a scope
 # with room left, so it keeps the fresh label and is not starved.
 @example(full_auth(3, 2, [NotEquals(0, 1), NotEquals(0, 2), AtMost(2, frozenset({1, 2}))]))
+# Step 0 takes label 1 into an at-least scope with no room for a reuse.
+# Once step 3 opens block 2 both at-most scopes are full, so steps 1 and 2
+# may take only label 2.  Step 1 taking it starves step 2 through the
+# at-least scope, though step 2 lies in none of step 1's at-most scopes.
+@example(
+    full_auth(
+        4,
+        3,
+        [
+            AtMost(2, frozenset({0, 2, 3})),
+            AtMost(2, frozenset({0, 1, 3})),
+            AtLeast(3, frozenset({0, 1, 2})),
+        ],
+    )
+)
 @settings(max_examples=150)
 def test_forward_check_changes_nothing_but_work(inst):
     pre = preprocess(inst)
