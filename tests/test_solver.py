@@ -542,6 +542,31 @@ def test_repeat_solves_are_identical():
     )
 
 
+@pytest.mark.parametrize(
+    "counting, expected",
+    [
+        (30, (SAT, 10827, 8179, 17889, 3849, 0, 1)),
+        (36, (SAT, 53019, 33334, 90527, 18055, 16, 1)),
+        (42, (UNSAT, 28351, 15864, 47389, 9255, 2, 0)),
+    ],
+)
+def test_paper_k30_search_counters_are_pinned(counting, expected):
+    # A change meant only to speed the search up must leave the search
+    # itself alone: every node, every prune and every leaf matching.
+    inst = preprocess(generate(GeneratorConfig(30, density_to_e(30, 10), counting, 0)))
+    out = solve(inst.instance, 60)
+    s = out.stats
+    assert (
+        out.status,
+        s.nodes,
+        s.auth_prunes,
+        s.eligibility_prunes,
+        s.forward_prunes,
+        s.matching_prunes,
+        s.matchings,
+    ) == expected
+
+
 # --- timeouts ----------------------------------------------------------------
 
 
