@@ -58,7 +58,10 @@ Per-constraint state is flat: a bitmask of the labels each counting
 constraint's scope uses, its room (how many more fresh labels an
 at-most scope, or reused labels an at-least scope, can take before no
 completion satisfies it), one score per step and one label domain per
-step, whose bit each candidate label reads.
+step, whose bit each candidate label reads.  Backtracking copies this
+state instead of logging each change: an extension trails the lists it
+started from and writes copies, so a retract rebinds them (Schulte
+compares copying with trailing for constraint programming).
 """
 
 from __future__ import annotations
@@ -135,10 +138,10 @@ class SearchState:
     bit of the fresh label says whether s may open a block.  Along a
     branch a domain only shrinks: an extension clears its label from
     the not-equals neighbours, and once a scope has no room left it
-    narrows the scope's steps to the labels that spend none.  The trail
-    records which constraints gained the new label, which spent room
-    and each domain an extension narrowed, so retract undoes exactly
-    those.
+    narrows the scope's steps to the labels that spend none.  Extending
+    pushes these four lists and a bitmask of the narrowed steps onto the
+    trail and writes copies (of the counting lists only for a step in a
+    counting scope, as nothing else writes them); retract rebinds them.
     """
 
     def __init__(self, instance: WorkflowInstance):
@@ -158,11 +161,12 @@ class SearchState:
         # sums are exact in any order).
         score = [0.0] * k
         ne_other: list[list[int]] = [[] for _ in range(k)]
-        # counting[s] holds (ci, at_most, scope) for every counting
-        # constraint ci whose scope contains s.
+        # at_most[s] and at_least[s] hold (ci, scope) for every counting
+        # constraint ci of that kind whose scope contains s.
         self.ct_labels: list[int] = []
         self.ct_room: list[int] = []
-        counting: list[list[tuple[int, bool, tuple[int, ...]]]] = [[] for _ in range(k)]
+        at_most: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(k)]
+        at_least: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(k)]
         gen_by_step: list[list] = [[] for _ in range(k)]
 
         for c in instance.constraints:
@@ -172,27 +176,28 @@ class SearchState:
                 ne_other[c.s].append(c.t)
                 ne_other[c.t].append(c.s)
             elif isinstance(c, (AtMost, AtLeast)):
-                at_most = isinstance(c, AtMost)
+                most = isinstance(c, AtMost)
                 scope = tuple(sorted(c.scope))
-                entry = (len(self.ct_room), at_most, scope)
+                entry = (len(self.ct_room), scope)
                 self.ct_labels.append(0)
-                self.ct_room.append(c.r if at_most else len(scope) - c.r)
+                self.ct_room.append(c.r if most else len(scope) - c.r)
                 for s in scope:
-                    counting[s].append(entry)
-                    if at_most:
+                    (at_most if most else at_least)[s].append(entry)
+                    if most:
                         score[s] += _weight(c.r)
             else:
                 for s in c.scope:
                     gen_by_step[s].append(c)
         self.ne_other = [tuple(x) for x in ne_other]
-        self._counting = [tuple(x) for x in counting]
+        self._at_most = [tuple(x) for x in at_most]
+        self._at_least = [tuple(x) for x in at_least]
         self.gen_by_step = [tuple(x) for x in gen_by_step]
         self.score = score
         # Every label from 1 up: at the empty pattern no scope's room is
         # negative, and a scope with none (at-least r = |scope|) uses no
         # label yet, so it excludes none.
         self.domain = [-2] * k
-        self._trail: list[tuple[int, int, float, list[int], list[tuple], list[tuple]]] = []
+        self._trail: list[tuple[list[float], list[int], list[int], list[int], int]] = []
 
     # -- heuristic ----------------------------------------------------------
 
@@ -210,69 +215,57 @@ class SearchState:
         pattern = self.pattern
         pattern.extend(step, label)
         entries = pattern.entries
-        score = self.score
-        saved = score[step]
+        frame = self.score, self.domain, self.ct_labels, self.ct_room
+        self.score = score = frame[0][:]
+        self.domain = domain = frame[1][:]
         score[step] = _ASSIGNED
         bit = 1 << label
-        domain = self.domain
-        narrowed = []
+        narrowed = 0
         for q in self.ne_other[step]:
             d = domain[q]
             if d & bit and not entries[q]:
                 domain[q] = d ^ bit
-                narrowed.append((q, d))
-        labels = self.ct_labels
-        room = self.ct_room
-        fresh = []
-        spent = []
-        for entry in self._counting[step]:
-            ci, at_most, scope = entry
-            new = not labels[ci] & bit
-            if new:
+                narrowed |= 1 << q
+        at_most = self._at_most[step]
+        at_least = self._at_least[step]
+        if at_most or at_least:
+            self.ct_labels = labels = frame[2][:]
+            self.ct_room = room = frame[3][:]
+            # With no room left a label may not spend any: at-most keeps
+            # the labels its scope uses, at-least the ones it does not.
+            # An at-most scope spends room, and changes its labels, only
+            # on a fresh label; an at-least scope spends it on a reused one.
+            for ci, scope in at_most:
+                if labels[ci] & bit:
+                    continue
                 labels[ci] |= bit
-                fresh.append(ci)
-            g = room[ci]
-            # At-most spends room on a fresh label, at-least on a reused one.
-            if new == at_most:
-                g -= 1
-                room[ci] = g
-                spent.append(entry)
-                if at_most and -1 <= g <= 2:
+                room[ci] = g = room[ci] - 1
+                if -1 <= g <= 2:
                     delta = _SPEND_DELTA[g + 1]
                     for q in scope:
                         score[q] += delta
-            # With no room left a label may not spend any: at-most keeps
-            # the labels its scope uses, at-least the ones it does not.
-            # An at-most scope's labels change only with a fresh label.
-            if g <= 0 and (new or not at_most):
-                keep = 0 if g else labels[ci] if at_most else ~labels[ci]
-                for q in scope:
-                    d = domain[q]
-                    if d & keep != d and not entries[q]:
-                        domain[q] = d & keep
-                        narrowed.append((q, d))
-        self._trail.append((step, label, saved, fresh, spent, narrowed))
+                if g <= 0:
+                    keep = 0 if g else labels[ci]
+                    for q in scope:
+                        d = domain[q]
+                        if d & keep != d and not entries[q]:
+                            domain[q] = d & keep
+                            narrowed |= 1 << q
+            for ci, scope in at_least:
+                used = labels[ci]
+                room[ci] = g = room[ci] - (used >> label & 1)
+                labels[ci] = used = used | bit
+                if g <= 0:
+                    keep = 0 if g else ~used
+                    for q in scope:
+                        d = domain[q]
+                        if d & keep != d and not entries[q]:
+                            domain[q] = d & keep
+                            narrowed |= 1 << q
+        self._trail.append((*frame, narrowed))
 
     def retract(self) -> None:
-        step, label, saved, fresh, spent, narrowed = self._trail.pop()
-        if fresh:
-            keep = ~(1 << label)
-            labels = self.ct_labels
-            for ci in fresh:
-                labels[ci] &= keep
-        room = self.ct_room
-        score = self.score
-        for ci, at_most, scope in spent:
-            g = room[ci] + 1
-            room[ci] = g
-            if at_most and 0 <= g <= 3:
-                delta = _SPEND_DELTA[g]
-                for q in scope:
-                    score[q] -= delta
-        domain = self.domain
-        for q, d in reversed(narrowed):
-            domain[q] = d
-        score[step] = saved
+        self.score, self.domain, self.ct_labels, self.ct_room, _ = self._trail.pop()
         self.pattern.retract()
 
     # -- extension viability -----------------------------------------------
@@ -305,19 +298,24 @@ class SearchState:
         Only two kinds of step can have been starved (see the module
         docstring): those whose domain the extension narrowed, and the
         other steps of its at-most scopes with no room left, whose
-        labels' blocks it may have narrowed.
+        labels' blocks it may have narrowed.  Each is checked once.
         """
         labelless = self._labelless
-        for q, _ in self._trail[-1][5]:
-            if labelless(q):
+        seen = narrowed = self._trail[-1][4]
+        while narrowed:
+            low = narrowed & -narrowed
+            if labelless(low.bit_length() - 1):
                 return True
+            narrowed ^= low
         room = self.ct_room
         entries = self.pattern.entries
-        for ci, at_most, scope in self._counting[step]:
-            if at_most and not room[ci]:
+        for ci, scope in self._at_most[step]:
+            if not room[ci]:
                 for q in scope:
-                    if not entries[q] and labelless(q):
-                        return True
+                    if not seen >> q & 1 and not entries[q]:
+                        seen |= 1 << q
+                        if labelless(q):
+                            return True
         return False
 
     def _labelless(self, step: int) -> bool:

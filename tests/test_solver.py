@@ -239,6 +239,44 @@ def test_search_state_counters_survive_retract(inst, data):
     assert snapshot() == baseline
 
 
+# Each op: (step pick, label pick, retract instead).
+_WALK = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5), st.booleans()), max_size=14)
+
+
+@given(instances(max_steps=5, max_users=5, allow_bod=False), _WALK)
+# Steps 0 and 4 lie in no counting scope and step 3 only in the at-least
+# one: a list shared with the trail must come back as it was left.
+@example(
+    full_auth(
+        5,
+        3,
+        [AtMost(1, frozenset({1, 2})), AtLeast(2, frozenset({1, 3})), NotEquals(0, 2)],
+    ),
+    [(0, 0, False), (2, 0, False), (0, 0, True), (0, 1, False), (3, 0, False),
+     (2, 0, False), (0, 0, True), (0, 0, True), (2, 1, False), (0, 0, True)],
+)
+@settings(max_examples=80)
+def test_search_state_depends_only_on_the_surviving_extensions(inst, walk):
+    state = SearchState(inst)
+    k = inst.step_count
+    path = []
+    for pick, lab, back in walk:
+        unassigned = [s for s in range(k) if state.pattern.entries[s] == 0]
+        if unassigned and not (back and path):
+            step = unassigned[pick % len(unassigned)]
+            label = 1 + lab % (state.pattern.max_label + 1)
+            state.extend(step, label)
+            path.append((step, label))
+        elif path:
+            state.retract()
+            path.pop()
+        replay = SearchState(inst)
+        for step, label in path:
+            replay.extend(step, label)
+        for name in ("score", "domain", "ct_labels", "ct_room"):
+            assert getattr(state, name) == getattr(replay, name), (name, path)
+
+
 # --- whole-instance shortcuts -----------------------------------------------
 
 
@@ -425,6 +463,30 @@ def test_forward_check_sees_a_block_narrow_under_a_full_scope():
     state.extend(1, 1)
     assert state.domain[2] == 0b10
     assert state.starved(1)
+
+
+def test_forward_check_reads_the_narrowing_of_the_current_node():
+    # Step 0 spends the at-most scope's one label, so step 1 may only join
+    # block 1.  Step 2, in no scope, joins it and leaves it user 0 alone,
+    # whom step 1 may not have; step 2 narrowed no domain, so its check
+    # does not look at step 1.  Step 3 takes label 1 from its not-equals
+    # neighbour 1, whose check does.  Once step 3 is retracted, the check
+    # of step 2 must again see only what step 2 narrowed.
+    state = SearchState(
+        make_instance(
+            4,
+            2,
+            [{0, 1}, {1}, {0}, {0, 1}],
+            [AtMost(1, frozenset({0, 1})), NotEquals(1, 3)],
+        )
+    )
+    state.extend(0, 1)
+    state.extend(2, 1)
+    assert not state.starved(2)
+    state.extend(3, 1)
+    assert state.starved(3)
+    state.retract()
+    assert not state.starved(2)
 
 
 @st.composite
