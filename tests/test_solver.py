@@ -629,6 +629,33 @@ def test_paper_k30_search_counters_are_pinned(counting, expected):
     ) == expected
 
 
+@pytest.mark.parametrize(
+    "seed, expected",
+    [
+        (2, (5989, 11069, 20879, 8246, 0, 5090, 5989, 5989)),
+        (6, (0, 78, 300, 97, 0, 73, 0, 0)),
+    ],
+)
+def test_scarce_users_enumeration_counters_are_pinned(seed, expected):
+    # Nine users for 16 steps: thousands of extensions re-match a block
+    # by an augmenting path or are cut for want of one, and the walk
+    # backtracks across every re-matched block, so a wrong restore of
+    # the held matching moves some count here.
+    config = GeneratorConfig(16, density_to_e(16, 40), 0, seed, users=9)
+    out = solve_enumerating(preprocess(generate(config)).instance, 60)
+    s = out.stats
+    assert (
+        out.count,
+        s.nodes,
+        s.auth_prunes,
+        s.eligibility_prunes,
+        s.forward_prunes,
+        s.matching_prunes,
+        s.matchings,
+        s.matchings_full,
+    ) == expected
+
+
 # --- timeouts ----------------------------------------------------------------
 
 
