@@ -10,11 +10,11 @@ completion.
 One augmenting-path routine, ``augment``, serves both uses.  The search
 keeps one held matching over the blocks of its partial pattern and calls
 ``augment`` when an extension cannot be fixed by taking a free user.
-``match_blocks`` builds a matching from scratch for a complete pattern
-by calling ``augment`` on each block in index order, and gives up as
-soon as one block admits no augmenting path, since the maximum matching
-can then never cover all blocks.  A matching is held as one user bit per
-block (0 for none) plus the union of those bits.
+``match_blocks`` completes a given matching (or none) for a complete
+pattern by calling ``augment`` on each block without a user, in index
+order, and gives up as soon as one block admits no augmenting path,
+since no matching can then cover all blocks.  A matching is held as one
+user bit per block (0 for none) plus the union of those bits.
 """
 
 from __future__ import annotations
@@ -74,19 +74,22 @@ def augment(
     return -1
 
 
-def match_blocks(adjacency: Sequence[int]) -> list[int] | None:
+def match_blocks(adjacency: Sequence[int], held: Sequence[int] = ()) -> list[int] | None:
     """Cover every left vertex with a matching, or report failure.
 
-    ``adjacency[i]`` is the user bitmask of left vertex i; vertices are
-    matched in index order, one ``augment`` each.  Returns user indices
-    per left vertex, or None as soon as some vertex has no augmenting
-    path (at that point no matching can cover all vertices, so the
-    remaining vertices are never examined).
+    ``adjacency[i]`` is the user bitmask of left vertex i.  The matching
+    starts from a copy of ``held`` (default: none), in which ``held[i]``
+    is 0 or a user bit of ``adjacency[i]`` and no bit appears twice;
+    each vertex without a user then takes one by ``augment``, in index
+    order.  Returns user indices per left vertex, or None as soon as some
+    vertex has no augmenting path (no matching can then cover all
+    vertices, so the rest are never examined).
     """
-    held = [0] * len(adjacency)
-    matched = 0
+    held = list(held or [0] * len(adjacency))
+    matched = sum(held)  # the union, as the bits are distinct
     for root, mask in enumerate(adjacency):
-        matched = augment(adjacency, held, matched, root, mask)
-        if matched < 0:
-            return None
+        if not held[root]:
+            matched = augment(adjacency, held, matched, root, mask)
+            if matched < 0:
+                return None
     return [bit.bit_length() - 1 for bit in held]

@@ -269,7 +269,17 @@ def validate_plan(instance: WorkflowInstance, plan: Mapping[StepId, UserId]) -> 
 
 @dataclass
 class SearchStats:
-    """Counters and timing reported by a solver run."""
+    """Counters and timing reported by a solver run.
+
+    nodes: search nodes, the root and each extension made.
+    auth_prunes: extensions cut as no user may do every step of the block.
+    eligibility_prunes: extensions cut as some constraint cannot be met.
+    forward_prunes: extensions cut as some unassigned step has no label left.
+    matching_prunes: extensions cut as no matching covers all the blocks.
+    matchings: leaves decided by a matching; with the prunes on, each one succeeds.
+    matchings_full: leaf matchings that cover every block, one per pattern found.
+    wall_time: seconds the run took.
+    """
 
     nodes: int = 0
     auth_prunes: int = 0

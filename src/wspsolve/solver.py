@@ -33,19 +33,19 @@ outside the starved step's scopes goes unseen, as do the generic
 constraints, left to ``extension_eligible``; missing them only makes
 the check weaker, never unsound.
 
-The matching prune keeps one held block -> user matching in the walk's
-locals, beside the chosen steps, with a per-depth trail that the
-backtrack restores.  An extension keeps the block's user when it stays
-authorised, or takes the lowest free user of the block, and only when
-neither works runs one augmenting path (``matching.augment``); with no
-path, the branch is cut.
-
-A complete pattern is then realisable exactly when the block/user graph
-has a matching covering every block; the matcher tries the blocks in
-label order and supplies the witness plan, so with the prunes on every
-leaf reached is realisable.  Steps are selected by a weighted count of
-the constraints pressing on them, so nearly-saturated at-most scopes are
-grouped early.
+The matching prune holds one block -> user matching in the walk's locals.
+An extension keeps the block's user while it stays authorised, or takes
+the block's lowest free user, or else re-matches by one augmenting path
+(``matching.augment``); with no path, the branch is cut.  Each depth
+snapshots the matching it was reached with, an extension that changes
+it writes a copy, and backtracking rebinds the snapshot.  A complete
+pattern is realisable exactly when some matching covers every block:
+the leaf completes the held one with ``match_blocks`` and reads the
+witness plan off it.  With the prunes on it already covers every block,
+so every leaf reached is realisable; with them off nothing is held, and
+the blocks are matched from scratch in label order.  Steps are selected
+by a weighted count of the constraints pressing on them, so
+nearly-saturated at-most scopes are grouped early.
 
 The walk is one loop over an explicit stack, one frame per depth
 holding the chosen step and the next label to try, so the depth of the
@@ -54,13 +54,9 @@ yields each realisable complete pattern with its witness, the user of
 each step, as it is found.  ``solve_enumerating`` keeps every witness as
 k user ids in one flat array and builds a plan ``dict`` only when a
 caller reads it from ``EnumerationOutcome.plans``.
-Per-constraint state is flat: a bitmask of the labels each counting
-constraint's scope uses, its room (how many more fresh labels an
-at-most scope, or reused labels an at-least scope, can take before no
-completion satisfies it), one score per step and one label domain per
-step, whose bit each candidate label reads.  Backtracking copies this
-state instead of logging each change: an extension trails the lists it
-started from and writes copies, so a retract rebinds them (Schulte
+
+Per-constraint state is flat (see ``SearchState``) and, like the held
+matching, copied on each change rather than logged for undo (Schulte
 compares copying with trailing for constraint programming).
 """
 
@@ -371,14 +367,11 @@ def _search(
     next_label = [1] * k + [k + 2]
     # The held block -> user matching of the pruned walk: held[x] is the
     # user bit of label x (0 while the label is unused), matched their
-    # union.  undo[d] is 0 when depth d's extension kept the matching,
-    # the old user bit xor the new one when its block took a free user,
-    # or -1 after an augmenting path, with (matched, held) before it in
-    # rematched[d].
+    # union.  before[d] is (matched, held) as depth d's extension found
+    # them; a snapshot is never written, as a change writes a copy.
     held = [0] * (k + 1)
     matched = 0
-    undo = [0] * k
-    rematched: list = [None] * k
+    before = [(matched, held)] * k
     try:
         if deadline is not None and clock() >= deadline:
             raise _Timeout
@@ -391,12 +384,7 @@ def _search(
                 depth -= 1
                 if depth >= 0:
                     retract()
-                    d = undo[depth]
-                    if d > 0:
-                        held[next_label[depth] - 1] ^= d
-                        matched ^= d
-                    elif d:
-                        matched, held = rematched[depth]
+                    matched, held = before[depth]
                 continue
             next_label[depth] = x + 1
             step = steps[depth]
@@ -408,30 +396,24 @@ def _search(
                 if not eligible(step, x):
                     eligibility_prunes += 1
                     continue
+                before[depth] = matched, held
                 h = held[x]
                 # Keep a matching that covers every block: the block keeps
                 # its user, or takes a free one, or one augmenting path
                 # re-matches it; failing that, no completion is realisable.
-                if m & h:
-                    undo[depth] = 0
-                else:
+                if not m & h:
+                    held = held[:]
                     # The free users m & ~matched, without building ~matched.
                     free = m ^ (m & matched)
                     if free:
-                        low = free & -free
-                        held[x] = low
-                        d = h ^ low
-                        matched ^= d
-                        undo[depth] = d
+                        held[x] = low = free & -free
+                        matched ^= h ^ low
                     else:
-                        saved = held[:]
-                        rematch = augment(block_masks, held, matched ^ h, x, m)
-                        if rematch < 0:
+                        matched = augment(block_masks, held, matched ^ h, x, m)
+                        if matched < 0:
                             matching_prunes += 1
+                            matched, held = before[depth]
                             continue
-                        rematched[depth] = matched, saved
-                        matched = rematch
-                        undo[depth] = -1
             extend(step, x)
             nodes += 1
             if (nodes & _TIMEOUT_MASK) == 1 and deadline is not None and clock() >= deadline:
@@ -447,10 +429,12 @@ def _search(
                 steps[depth] = select_step()
                 next_label[depth] = 1
                 continue
-            # A complete pattern: decide it by one block/user matching.
+            # A complete pattern, decided by completing the held matching:
+            # it covers every block when pruning and none otherwise.
             if prune or all(c.satisfied_by(entries) for c in constraints):
                 matchings += 1
-                user_of = match_blocks(block_masks[1 : pattern.max_label + 1])
+                top = pattern.max_label + 1
+                user_of = match_blocks(block_masks[1:top], held[1:top])
                 if user_of is not None:
                     matchings_full += 1
                     yield canonicalize(entries), [user_of[x - 1] for x in entries]

@@ -41,6 +41,20 @@ def mask_to_set(mask: int) -> set[int]:
     return {i for i in range(mask.bit_length()) if mask >> i & 1}
 
 
+def greedy_matching(rnd: random.Random, adjacency: list[int]) -> tuple[list[int], int]:
+    """A held matching grown greedily over a random subset of the vertices:
+    one user bit per vertex (0 for none) and their union."""
+    held = [0] * len(adjacency)
+    matched = 0
+    for i in rnd.sample(range(len(adjacency)), rnd.randint(0, len(adjacency))):
+        free = adjacency[i] & ~matched
+        if free:
+            bit = 1 << rnd.choice(sorted(mask_to_set(free)))
+            held[i] = bit
+            matched |= bit
+    return held, matched
+
+
 # --- golden example ---------------------------------------------------------
 
 
@@ -82,6 +96,10 @@ def test_match_blocks_trivial_cases():
     assert match_blocks([0b1, 0b1]) is None
     # Augmenting path: vertex 1 evicts vertex 0 to user 1.
     assert match_blocks([0b11, 0b01]) == [1, 0]
+    # A held matching is completed, not rebuilt: vertex 0 keeps user 1.
+    assert match_blocks([0b11, 0b01], [0b10, 0]) == [1, 0]
+    # Vertex 0 holds the only user vertex 1 may take, so nothing covers both.
+    assert match_blocks([0b1, 0b1], [0b1, 0]) is None
 
 
 def test_match_blocks_follows_a_path_through_every_block():
@@ -93,19 +111,26 @@ def test_match_blocks_follows_a_path_through_every_block():
 
 
 def test_match_blocks_agrees_with_reference_on_random_graphs():
+    """From scratch and from a greedy held matching alike, the blocks are
+    covered exactly when the reference matching covers them, and the
+    held matching passed in is left unchanged."""
     rnd = random.Random(0xA11CE)
+    grow = random.Random(0xA11CE + 1)
     for _ in range(400):
         k = rnd.randint(1, 10)
         n = rnd.randint(1, 100)
         adjacency = [rnd.getrandbits(n) for _ in range(k)]
-        got = match_blocks(adjacency)
         ref = reference_max_matching([mask_to_set(m) for m in adjacency])
-        if ref == k:
-            assert got is not None
-            assert len(set(got)) == k  # users pairwise distinct
-            assert all(adjacency[i] >> u & 1 for i, u in enumerate(got))
-        else:
-            assert got is None
+        held, _ = greedy_matching(grow, adjacency)
+        start = list(held)
+        for got in (match_blocks(adjacency), match_blocks(adjacency, held)):
+            if ref == k:
+                assert got is not None
+                assert len(set(got)) == k  # users pairwise distinct
+                assert all(adjacency[i] >> u & 1 for i, u in enumerate(got))
+            else:
+                assert got is None
+        assert held == start
 
 
 def test_augment_agrees_with_reference_on_random_held_matchings():
@@ -117,15 +142,7 @@ def test_augment_agrees_with_reference_on_random_held_matchings():
         k = rnd.randint(1, 10)
         n = rnd.randint(1, 12)
         adjacency = [rnd.getrandbits(n) for _ in range(k)]
-        # Grow a held matching greedily over a random subset of the vertices.
-        held = [0] * k
-        matched = 0
-        for i in rnd.sample(range(k), rnd.randint(0, k)):
-            free = adjacency[i] & ~matched
-            if free:
-                bit = 1 << rnd.choice(sorted(mask_to_set(free)))
-                held[i] = bit
-                matched |= bit
+        held, matched = greedy_matching(rnd, adjacency)
         unheld = [i for i in range(k) if not held[i]]
         if not unheld:
             continue
