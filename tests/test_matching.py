@@ -100,6 +100,11 @@ def test_match_blocks_trivial_cases():
     assert match_blocks([0b11, 0b01], [0b10, 0]) == [1, 0]
     # Vertex 0 holds the only user vertex 1 may take, so nothing covers both.
     assert match_blocks([0b1, 0b1], [0b1, 0]) is None
+    # Every vertex holds a user: the matching is read off, and the held
+    # list passed in is left as it was.
+    held = [0b10, 0b01]
+    assert match_blocks([0b11, 0b01], held) == [1, 0]
+    assert held == [0b10, 0b01]
 
 
 def test_match_blocks_follows_a_path_through_every_block():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
 import tracemalloc
 from collections.abc import Sequence
@@ -332,6 +333,10 @@ def test_unconstrained_enumeration_reaches_every_partition(k):
     assert len(set(out.patterns)) == out.count
     # Complete and canonical: first step is block 1, labels never jump.
     assert all(0 not in p and canonicalize(p) == p for p in out.patterns)
+    if k <= 6:
+        # Unpruned, every leaf is decided by the constraints and a
+        # matching from scratch, and reaches the same partitions.
+        assert set(solve_enumerating(full_auth(k, k), prune=False).patterns) == set(out.patterns)
     if k == 5:
         # Exactly the encodings of all k-user plans.
         from_plans = {
@@ -654,6 +659,23 @@ def test_scarce_users_enumeration_counters_are_pinned(seed, expected):
         s.matchings,
         s.matchings_full,
     ) == expected
+
+
+@pytest.mark.parametrize(
+    "k, prune, count, digest",
+    [
+        (10, True, 7491, "f0d2cf555325f075d0d65a1cda6df84cd2df55fd1b188fd1723a24d064d43b3f"),
+        (8, False, 663, "fa0811602849823c4671060fffa60e493e8f9062ec37376ba0d8bd35ca879b8e"),
+    ],
+)
+def test_enumeration_output_is_pinned(k, prune, count, digest):
+    # Pattern order and witnesses byte for byte: a change to how the
+    # leaves are decided must not move either, pruned or not.
+    config = GeneratorConfig(k, density_to_e(k, 20), 0, 0, users=24)
+    out = solve_enumerating(preprocess(generate(config)).instance, 60, prune=prune)
+    assert out.count == count
+    text = repr((out.patterns, list(out.plans)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # --- timeouts ----------------------------------------------------------------
