@@ -81,10 +81,14 @@ def match_blocks(adjacency: Sequence[int], held: Sequence[int] = ()) -> list[int
     starts from a copy of ``held`` (default: none), in which ``held[i]``
     is 0 or a user bit of ``adjacency[i]`` and no bit appears twice;
     each vertex without a user then takes one by ``augment``, in index
-    order.  Returns user indices per left vertex, or None as soon as some
-    vertex has no augmenting path (no matching can then cover all
-    vertices, so the rest are never examined).
+    order.  When every vertex already holds one, as at each leaf of the
+    pruned search, the users are read off ``held`` at once.  Returns user
+    indices per left vertex, or None as soon as some vertex has no
+    augmenting path (no matching can then cover all vertices, so the
+    rest are never examined).
     """
+    if held and all(held):
+        return [bit.bit_length() - 1 for bit in held]
     held = list(held or [0] * len(adjacency))
     matched = sum(held)  # the union, as the bits are distinct
     for root, mask in enumerate(adjacency):

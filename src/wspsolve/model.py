@@ -271,7 +271,8 @@ def validate_plan(instance: WorkflowInstance, plan: Mapping[StepId, UserId]) -> 
 class SearchStats:
     """Counters and timing reported by a solver run.
 
-    nodes: search nodes, the root and each extension made.
+    nodes: search nodes, the root and each label that passes the prunes,
+        the last step's too, which is decided at the leaf without an extension.
     auth_prunes: extensions cut as no user may do every step of the block.
     eligibility_prunes: extensions cut as some constraint cannot be met.
     forward_prunes: extensions cut as some unassigned step has no label left.

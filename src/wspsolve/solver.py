@@ -43,7 +43,10 @@ pattern is realisable exactly when some matching covers every block:
 the leaf completes the held one with ``match_blocks`` and reads the
 witness plan off it.  With the prunes on it already covers every block,
 so every leaf reached is realisable; with them off nothing is held, and
-the blocks are matched from scratch in label order.  Steps are selected
+the blocks are matched from scratch in label order.  The last step
+passes the same prunes and counts as a node, but no deeper node reads
+the search state, so the leaf writes its label in place and restores it
+instead of extending.  Steps are selected
 by a weighted count of the constraints pressing on them, so
 nearly-saturated at-most scopes are grouped early.
 
@@ -336,7 +339,8 @@ def _search(
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """Depth-first walk yielding (canonical pattern, users) per realisable leaf.
 
-    ``users[s]`` is the witness's user for step s.
+    ``users[s]`` is the witness's user for step s.  A label for the last
+    step decides a complete pattern in place, without ``extend``.
 
     Raises _Timeout once ``deadline`` has passed.  The counters are kept
     in locals and written to ``stats`` when the walk ends: when it is
@@ -357,14 +361,13 @@ def _search(
     # every step keeps the fresh label, which the root check authorises,
     # so no step can starve.
     forward = prune and any(isinstance(c, AtMost) for c in constraints)
+    last = k - 1  # the depth of the leaves
     clock = time.perf_counter
     nodes = 1  # the root
     auth_prunes = eligibility_prunes = forward_prunes = matching_prunes = 0
     matchings = matchings_full = 0
     steps = [0] * k  # the step chosen at each depth
-    # The next label to try at each depth; depth k, a complete pattern,
-    # has none, so the walk backs out of it like an exhausted depth.
-    next_label = [1] * k + [k + 2]
+    next_label = [1] * k  # the next label to try at each depth
     # The held block -> user matching of the pruned walk: held[x] is the
     # user bit of label x (0 while the label is unused), matched their
     # union.  before[d] is (matched, held) as depth d's extension found
@@ -388,8 +391,9 @@ def _search(
                 continue
             next_label[depth] = x + 1
             step = steps[depth]
+            # The users of x's block once step joins it.
+            m = auth[step] if x == top else block_masks[x] & auth[step]
             if prune:
-                m = auth[step] if x == top else block_masks[x] & auth[step]
                 if not m:
                     auth_prunes += 1
                     continue
@@ -414,30 +418,37 @@ def _search(
                             matching_prunes += 1
                             matched, held = before[depth]
                             continue
-            extend(step, x)
             nodes += 1
             if (nodes & _TIMEOUT_MASK) == 1 and deadline is not None and clock() >= deadline:
                 raise _Timeout
-            depth += 1
-            if depth < k:
+            if depth < last:
+                extend(step, x)
+                depth += 1
                 if forward and starved(step):
                     # Back out of the new depth as if it were exhausted,
                     # which retracts the extend and restores the matching.
                     forward_prunes += 1
-                    next_label[depth] = k + 2
+                    next_label[depth] = k + 1
                     continue
                 steps[depth] = select_step()
                 next_label[depth] = 1
                 continue
-            # A complete pattern, decided by completing the held matching:
-            # it covers every block when pruning and none otherwise.
+            # The last step: decide the complete pattern in place.  The
+            # held matching covers every block when pruning and none
+            # otherwise; the leaf completes it.
+            mask = block_masks[x]
+            entries[step] = x
+            block_masks[x] = m
             if prune or all(c.satisfied_by(entries) for c in constraints):
                 matchings += 1
-                top = pattern.max_label + 1
-                user_of = match_blocks(block_masks[1:top], held[1:top])
+                end = top + 1 if x == top else top  # one past the last block
+                user_of = match_blocks(block_masks[1:end], held[1:end])
                 if user_of is not None:
                     matchings_full += 1
-                    yield canonicalize(entries), [user_of[x - 1] for x in entries]
+                    yield canonicalize(entries), [user_of[b - 1] for b in entries]
+            entries[step] = 0
+            block_masks[x] = mask
+            matched, held = before[depth]
     finally:
         stats.nodes = nodes
         stats.auth_prunes = auth_prunes
