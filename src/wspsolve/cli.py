@@ -215,13 +215,20 @@ def _bench_one(config: GeneratorConfig, density: float, time_limit: float) -> Be
 
 
 def run_bench(suite: SuiteSpec, time_limit: float, jobs: int = 1) -> list[BenchRecord]:
-    """Generate and solve the suite; returns instance, set and rate rows."""
+    """Generate and solve the suite; returns instance, set and rate rows.
+
+    The instances are solved in a pool of ``jobs`` worker processes, but
+    of no more workers than instances: a fork-started pool starts every
+    worker at its first task.
+    """
     task = partial(_bench_one, density=suite.density, time_limit=time_limit)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(task, suite.configs()))
+    configs = suite.configs()
+    workers = min(jobs, len(configs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(task, configs))
     else:
-        records = list(map(task, suite.configs()))
+        records = list(map(task, configs))
     return records + set_and_rate_rows(records)
 
 

@@ -279,6 +279,9 @@ class SearchStats:
     matching_prunes: extensions cut as no matching covers all the blocks.
     matchings: leaves decided by a matching; with the prunes on, each one succeeds.
     matchings_full: leaf matchings that cover every block, one per pattern found.
+    processes: processes that searched, 2 when ``solve`` split its search
+        over a helper process.  It depends on timing; the counters above
+        are those of the one-process walk either way.
     wall_time: seconds the run took.
     """
 
@@ -289,6 +292,7 @@ class SearchStats:
     matching_prunes: int = 0
     matchings: int = 0
     matchings_full: int = 0
+    processes: int = 1
     wall_time: float = 0.0
 
     @property

@@ -61,13 +61,24 @@ caller reads it from ``EnumerationOutcome.plans``.
 Per-constraint state is flat (see ``SearchState``) and, like the held
 matching, copied on each change rather than logged for undo (Schulte
 compares copying with trailing for constraint programming).
+
+A decision search that is still running after ``SPLIT_AFTER`` seconds
+forks one helper process and shares its remaining subtrees with it, as
+in parallel depth-first search after Rao and Kumar (see ``_Split``).
+The two processes' reports merge in depth-first order, so the outcome,
+the witness and every search counter are those of the one-process walk.
 """
 
 from __future__ import annotations
 
 import itertools
+import marshal
 import math
 import operator
+import os
+import select
+import signal
+import sys
 import time
 from array import array
 from collections.abc import Iterator, Sequence
@@ -115,8 +126,39 @@ _TIMEOUT_MASK = TIMEOUT_CHECK_INTERVAL - 1
 _ASSIGNED = -math.inf
 
 
+#: A decision search forks its helper once it has run this many seconds,
+#: about ten times what forking and reaping a process costs, so that a
+#: search shorter than this never pays for one.
+SPLIT_AFTER = 0.05
+
+#: The depth whose label attempts are the tasks the two processes share:
+#: deep enough that tasks are many and small, shallow enough that each
+#: process re-walks little above them.
+SPLIT_DEPTH = 8
+
+#: The counters of ``SearchStats`` that a search adds up, in the order
+#: the walk reports them.
+COUNTERS = (
+    "nodes",
+    "auth_prunes",
+    "eligibility_prunes",
+    "forward_prunes",
+    "matching_prunes",
+    "matchings",
+    "matchings_full",
+)
+
+
 class _Timeout(Exception):
     pass
+
+
+class _Stop(Exception):
+    """The walk has no task left to take."""
+
+
+def _timeout() -> float:
+    raise _Timeout
 
 
 class SearchState:
@@ -335,7 +377,11 @@ class SearchState:
 
 
 def _search(
-    state: SearchState, deadline: float | None, prune: bool, stats: SearchStats
+    state: SearchState,
+    deadline: float | None,
+    prune: bool,
+    stats: SearchStats,
+    split: _Split | _Helper | None = None,
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """Depth-first walk yielding (canonical pattern, users) per realisable leaf.
 
@@ -345,6 +391,11 @@ def _search(
     Raises _Timeout once ``deadline`` has passed.  The counters are kept
     in locals and written to ``stats`` when the walk ends: when it is
     exhausted, on a timeout, or when the generator is closed early.
+
+    With ``split``, each visit to depth ``split.depth`` first calls
+    ``split.boundary``, which may skip the label (another process's
+    task) or raise _Stop, and the deadline checks call ``split.tick``
+    for the next time to call it.
     """
     pattern = state.pattern
     k = state.step_count
@@ -375,6 +426,10 @@ def _search(
     held = [0] * (k + 1)
     matched = 0
     before = [(matched, held)] * k
+    frontier, boundary, tick = -1, None, _timeout
+    wake = math.inf if deadline is None else deadline
+    if split is not None:
+        frontier, boundary, tick, wake = split.depth, split.boundary, split.tick, split.wake
     try:
         if deadline is not None and clock() >= deadline:
             raise _Timeout
@@ -383,6 +438,13 @@ def _search(
         while depth >= 0:
             x = next_label[depth]
             top = pattern.max_label + 1
+            if depth == frontier and not boundary(
+                x <= top,
+                (nodes, auth_prunes, eligibility_prunes, forward_prunes, matching_prunes,
+                 matchings, matchings_full),
+            ):
+                next_label[depth] = x + 1
+                continue
             if x > top:
                 depth -= 1
                 if depth >= 0:
@@ -419,8 +481,8 @@ def _search(
                             matched, held = before[depth]
                             continue
             nodes += 1
-            if (nodes & _TIMEOUT_MASK) == 1 and deadline is not None and clock() >= deadline:
-                raise _Timeout
+            if (nodes & _TIMEOUT_MASK) == 1 and clock() >= wake:
+                wake = tick()
             if depth < last:
                 extend(step, x)
                 depth += 1
@@ -450,13 +512,291 @@ def _search(
             block_masks[x] = mask
             matched, held = before[depth]
     finally:
-        stats.nodes = nodes
-        stats.auth_prunes = auth_prunes
-        stats.eligibility_prunes = eligibility_prunes
-        stats.forward_prunes = forward_prunes
-        stats.matching_prunes = matching_prunes
-        stats.matchings = matchings
-        stats.matchings_full = matchings_full
+        _set_counts(stats, (nodes, auth_prunes, eligibility_prunes, forward_prunes,
+                            matching_prunes, matchings, matchings_full))
+
+
+def _counts(stats: SearchStats) -> tuple[int, ...]:
+    return tuple(getattr(stats, name) for name in COUNTERS)
+
+
+def _set_counts(stats: SearchStats, counts: Sequence[int]) -> None:
+    for name, value in zip(COUNTERS, counts):
+        setattr(stats, name, value)
+
+
+def _may_fork() -> bool:
+    """May this process fork a helper at no risk to its caller?
+
+    Only on Linux with a second CPU to run it, from a process with one
+    thread (a fork copies no other thread, and so no lock one may hold)
+    that is not itself a ``multiprocessing`` worker, whose pool already
+    spreads the work over the CPUs, and that does not ignore SIGCHLD,
+    which would leave no exited helper to reap.
+    """
+    if sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2:
+        return False
+    if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
+        return False
+    mp = sys.modules.get("multiprocessing")  # every worker has imported it
+    if mp is not None and mp.parent_process() is not None:
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:  # no /proc to count the threads in
+        return False
+
+
+# The helper's reports travel over a pipe as one 8-byte length and the
+# ``marshal`` bytes of a message: a pipe and marshal cost this process
+# no import, and only the forked helper writes what is read here.
+
+
+def _send(fd: int, message) -> None:
+    data = marshal.dumps(message)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _read(fd: int, size: int) -> bytes:
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            raise EOFError
+        data += chunk
+    return data
+
+
+def _receive(fd: int):
+    return marshal.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+
+
+def _readable(fd: int, timeout: float | None = 0.0) -> bool:
+    """Can ``fd`` be read (data, or the writer has closed), within ``timeout`` s?"""
+    return bool(select.select([fd], [], [], timeout)[0])
+
+
+class _Split:
+    """A decision search's tasks, shared with one forked helper process.
+
+    The tasks are the label attempts at depth ``depth``, numbered in
+    depth-first order; each covers the attempt's prunes and the whole
+    subtree below it.  Until the fork this process takes every task.  It
+    forks at the first deadline check after ``SPLIT_AFTER`` seconds, if
+    ``_may_fork`` allows, and keeps the task in progress and every one
+    before it.  Of the later tasks the helper takes every other one,
+    from the next on (see ``_Helper``).  Each process skips the other's
+    tasks before counting anything for them, and a skipped task leaves
+    the search state as a walked one would, so both walk and count the
+    depths above alike.
+
+    The one-process counters at a task's boundary are this process's
+    counters there plus the helper's for each of its earlier tasks:
+    ``at`` keeps the former at every helper task, and the helper reports
+    the latter, task by task, with its first solution.  The first
+    solution in depth-first order is settled once both processes have
+    walked every task before its own, and neither takes a task past the
+    lowest solved one it knows of.
+    """
+
+    def __init__(
+        self, instance: WorkflowInstance, prune: bool, deadline: float | None, start: float
+    ):
+        self.instance = instance
+        self.prune = prune
+        self.deadline = math.inf if deadline is None else deadline
+        self.depth = min(SPLIT_DEPTH, instance.step_count - 1)
+        self.wake = min(self.deadline, start + SPLIT_AFTER)
+        self.task = 0  # the tasks begun so far
+        self.first = math.inf  # the last task begun before the fork
+        self.pid = 0  # the helper's, while it runs
+        self.reports_fd = self.alive_fd = -1  # the pipes from and to the helper
+        self.at: dict[int, tuple[int, ...]] = {}
+        self.reports: list[tuple[int, tuple[int, ...]]] = []  # in task order
+        self.last = 0  # the last helper task reported
+        self.found = None  # (task, (pattern, users)) of the helper's solution
+        self.done = False  # the helper has sent its last report
+        self.lost = False  # the helper ended before that
+
+    def boundary(self, label: bool, counts: tuple[int, ...]) -> bool:
+        """Take the task of this label attempt?  Raises _Stop past a solved one."""
+        if not label:
+            return True
+        t = self.task
+        self.task = t + 1
+        if t <= self.first:
+            return True
+        theirs = (t - self.first) & 1
+        if theirs:
+            self.at[t] = counts
+        if self.found is not None and t >= self.found[0]:
+            raise _Stop
+        return not theirs
+
+    def tick(self) -> float:
+        """The deadline check: forks or reads the helper's reports; the next check's time."""
+        now = time.perf_counter()
+        if now >= self.deadline:
+            raise _Timeout
+        if self.pid:
+            self.receive()
+            if self.lost or self.found is not None and self.found[0] < self.task:
+                raise _Stop  # the helper is gone, or its solution is settled
+            return now
+        if _may_fork():
+            self._fork()
+        return now if self.pid else self.deadline
+
+    def _fork(self) -> None:
+        fds: list[int] = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:  # no pipe or process to be had: this one searches alone
+            for fd in fds:
+                os.close(fd)
+            return
+        reports_r, reports_w, alive_r, alive_w = fds
+        first = self.task - 1
+        if pid == 0:
+            # The helper never returns into the caller's code, so flushes
+            # no stdio buffer and runs no exit handler of the caller's.
+            try:
+                os.close(reports_r)
+                os.close(alive_w)
+                _helper(self.instance, self.prune, self.depth, first, reports_w, alive_r)
+            finally:
+                os._exit(0)
+        self.pid, self.reports_fd, self.alive_fd = pid, reports_r, alive_w
+        self.first, self.last = first, first - 1
+        os.close(reports_w)
+        os.close(alive_r)
+
+    def receive(self) -> None:
+        """Take in every report the helper has sent so far."""
+        try:
+            while not self.done and _readable(self.reports_fd):
+                records, self.done = _receive(self.reports_fd)
+                for t, counts, found in records:
+                    self.reports.append((t, counts))
+                    self.last = t
+                    if found is not None:
+                        self.found = t, found
+        except EOFError:
+            self.lost = True
+
+    def merge(
+        self, patterns: list, witnesses: array, stats: SearchStats, timed_out: bool
+    ) -> tuple[list[tuple[int, ...]], array, SearchStats, bool] | None:
+        """The one-process outcome from this walk's and the helper's reports.
+
+        Waits, up to the deadline, until the first solution is settled or
+        the helper has reported every task.  On a timeout the counters
+        add up all the work reported.  Returns None if the helper ended
+        without reporting what the outcome needs.
+        """
+        own = self.task - 1 if patterns else math.inf  # the task of this walk's solution
+        walked = self.task - 1 if timed_out else math.inf  # every task before it is walked
+        while True:
+            self.receive()
+            end = min(own, self.found[0]) if self.found else own
+            if end <= walked and (self.done or self.last + 2 >= end):
+                break
+            if timed_out:
+                patterns, witnesses, end = [], array("q"), math.inf
+                break
+            if self.lost:
+                return None
+            wait = self.deadline - time.perf_counter()
+            if wait <= 0:
+                timed_out = True
+            else:
+                _readable(self.reports_fd, None if wait == math.inf else wait)
+        if self.found is not None and end == self.found[0]:
+            total, upto = list(self.at[end]), end + 1
+            patterns, witnesses = [self.found[1][0]], array("q", self.found[1][1])
+        else:
+            total, upto = list(_counts(stats)), end
+        for t, counts in self.reports:
+            if t >= upto:
+                break
+            total = list(map(operator.add, total, counts))
+        _set_counts(stats, total)
+        stats.processes = 2
+        return patterns, witnesses, stats, timed_out
+
+    def close(self) -> None:
+        """Kill and reap the helper, if it runs."""
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            os.close(self.reports_fd)
+            os.close(self.alive_fd)
+            self.pid = 0
+
+
+class _Helper:
+    """The helper process's side of a ``_Split``.
+
+    It walks from the empty pattern and takes the tasks first + 1,
+    first + 3, and so on, skipping the others.  A task's counters run
+    from its boundary to the next visit to the frontier depth, which
+    ends the task: the next label's boundary, or the depth's labels run
+    out.  The walk ends at its first solution, as a one-process one
+    would.  Reports go out at the deadline checks and when the walk
+    ends, and the helper stops once the parent's end of the pipe closes.
+    """
+
+    def __init__(self, depth: int, first: int, reports_fd: int, alive_fd: int):
+        self.depth = depth
+        self.first = first
+        self.reports_fd = reports_fd
+        self.alive_fd = alive_fd
+        self.wake = 0.0
+        self.task = 0
+        self.open: tuple[int, tuple[int, ...]] | None = None  # (task, counters at its boundary)
+        self.records: list[tuple] = []  # (task, counters, solution or None), not yet sent
+
+    def end_task(self, counts: tuple[int, ...], found=None) -> None:
+        t, start = self.open
+        self.records.append((t, tuple(map(operator.sub, counts, start)), found))
+        self.open = None
+
+    def boundary(self, label: bool, counts: tuple[int, ...]) -> bool:
+        if self.open is not None:
+            self.end_task(counts)
+        if not label:
+            return True
+        t = self.task
+        self.task = t + 1
+        if t > self.first and (t - self.first) & 1:
+            self.open = t, counts
+            return True
+        return False
+
+    def tick(self) -> float:
+        if self.records:
+            _send(self.reports_fd, (self.records, False))
+            self.records = []
+        if _readable(self.alive_fd):  # the parent never writes: its end is closed
+            raise _Stop
+        return 0.0
+
+
+def _helper(
+    instance: WorkflowInstance, prune: bool, depth: int, first: int, reports_fd: int, alive_fd: int
+) -> None:
+    """The helper process's walk, reported to ``reports_fd``, then a wait
+    until the parent closes ``alive_fd``'s other end."""
+    side = _Helper(depth, first, reports_fd, alive_fd)
+    patterns, users, stats, _ = _walk(SearchState(instance), None, prune, 1, side)
+    if patterns:
+        side.end_task(_counts(stats), (patterns[0], users.tolist()))
+    _send(reports_fd, (side.records, True))
+    _readable(alive_fd, None)
 
 
 def _root_unsat(instance: WorkflowInstance) -> bool:
@@ -467,39 +807,72 @@ def _root_unsat(instance: WorkflowInstance) -> bool:
     return any(not c.check_partial(zeros) for c in instance.constraints)
 
 
+def _walk(
+    state: SearchState,
+    deadline: float | None,
+    prune: bool,
+    limit: int | None,
+    split: _Split | _Helper | None,
+) -> tuple[list[tuple[int, ...]], array, SearchStats, bool]:
+    """One walk for at most ``limit`` patterns (None: all).
+
+    Returns the patterns found, their witnesses as one flat array of
+    users (k per pattern, in step order), the stats and whether the
+    walk timed out.
+    """
+    stats = SearchStats()
+    patterns: list[tuple[int, ...]] = []
+    witnesses = array("q")
+    timed_out = False
+    search = _search(state, deadline, prune, stats, split)
+    try:
+        for pattern, users in itertools.islice(search, limit):
+            patterns.append(pattern)
+            witnesses.fromlist(users)
+    except _Timeout:
+        timed_out = True
+    except _Stop:
+        pass
+    finally:
+        search.close()
+    return patterns, witnesses, stats, timed_out
+
+
 def _drive(
     instance: WorkflowInstance,
     time_limit: float | None,
     prune: bool,
     limit: int | None,
 ) -> tuple[list[tuple[int, ...]], array, SearchStats, bool]:
-    """Run one timed search for at most ``limit`` patterns (None: all).
+    """Run one timed search for at most ``limit`` patterns (None: all), as ``_walk``.
 
-    Returns the patterns found, their witnesses as one flat array of
-    users (k per pattern, in step order), the stats and whether the
-    search timed out.
+    A decision search (``limit`` 1) may split (see ``_Split``); if its
+    helper ends without reporting, the search runs again in this process
+    alone.
     """
     if time_limit is not None and math.isnan(time_limit):
         raise ValueError("time limit is NaN")
     start = time.perf_counter()
     state = SearchState(instance)
-    stats = SearchStats()
-    patterns: list[tuple[int, ...]] = []
-    witnesses = array("q")
     timed_out = time_limit is not None and time_limit <= 0
-    if not timed_out and not (prune and _root_unsat(instance)):
+    if timed_out or (prune and _root_unsat(instance)):
+        result = [], array("q"), SearchStats(), timed_out
+    else:
         deadline = None if time_limit is None else start + time_limit
-        search = _search(state, deadline, prune, stats)
+        # An enumeration's patterns would have to cross the pipe in order.
+        split = _Split(instance, prune, deadline, start) if limit == 1 else None
         try:
-            for pattern, users in itertools.islice(search, limit):
-                patterns.append(pattern)
-                witnesses.fromlist(users)
-        except _Timeout:
-            timed_out = True
+            result = _walk(state, deadline, prune, limit, split)
+            if split is not None and split.pid:
+                result = split.merge(*result)
+                if result is None:
+                    split.close()
+                    result = _walk(SearchState(instance), deadline, prune, limit, None)
         finally:
-            search.close()
-    stats.wall_time = time.perf_counter() - start
-    return patterns, witnesses, stats, timed_out
+            if split is not None:
+                split.close()
+    result[2].wall_time = time.perf_counter() - start
+    return result
 
 
 def solve(
@@ -518,6 +891,13 @@ def solve(
     ``satisfied_by`` decides it before the matching runs.  This never
     changes the verdict.  The instance must already be preprocessed,
     i.e. free of binding-of-duty constraints.
+
+    A search still running after ``SPLIT_AFTER`` seconds forks one
+    helper process to search part of the tree, on Linux with at least
+    two CPUs, from a single-threaded process that is not a
+    ``multiprocessing`` worker.  The helper ends before ``solve``
+    returns, and the outcome, the witness and every counter are those of
+    the one-process search; only ``stats.processes`` and the times tell.
     """
     patterns, users, stats, timed_out = _drive(instance, time_limit, prune, 1)
     status = TIMEOUT if timed_out else SAT if patterns else UNSAT

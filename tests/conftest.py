@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import os
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -25,6 +26,22 @@ settings.register_profile(
     "wspsolve", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("wspsolve")
+
+
+def assert_no_child_process() -> None:
+    """Fail if this process has a child, whether running or exited unreaped."""
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process is left: {f'pid {pid}, exited' if pid else 'still running'}")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    # A split search forks a helper, which must never outlive the solve.
+    yield
+    assert_no_child_process()
 
 
 # One fully worked 4-step, 5-user instance used across the suite: the

@@ -126,6 +126,7 @@ def test_solve_stats_on_stderr(golden_path, capsys):
         "matching_prunes",
         "matchings",
         "matchings_full",
+        "processes",
         "wall_ms",
     }
 
@@ -394,6 +395,29 @@ def test_bench_jobs_match_serial():
         }
 
     assert key_rows(serial) == key_rows(parallel)
+
+
+def test_bench_pool_has_no_more_workers_than_instances(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(wspsolve.cli, "ProcessPoolExecutor", RecordingPool)
+    records = run_bench(parse_suite("k=5 d=10 c=0.4k seeds=0..2"), time_limit=30, jobs=5000)
+    assert sum(r.kind == "instance" for r in records) == 3
+    run_bench(parse_suite("k=5 d=10 c=0.4k seeds=0"), time_limit=30, jobs=8)
+    assert sizes == [3]
 
 
 def test_bench_csv_round_trip():

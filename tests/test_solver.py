@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import hashlib
 import itertools
+import os
+import signal
+import threading
 import tracemalloc
 from collections.abc import Sequence
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bell_numbers, instances
+from conftest import assert_no_child_process, bell_numbers, instances
 from wspsolve import (
     SAT,
     TIMEOUT,
@@ -37,6 +42,7 @@ from wspsolve import (
     solve_enumerating,
     validate_plan,
 )
+from wspsolve import solver
 from wspsolve.solver import TIMEOUT_CHECK_INTERVAL
 
 
@@ -755,3 +761,162 @@ def test_unsat_instance_reports_no_plan():
     assert out.status == UNSAT
     assert out.plan is None
     assert out.stats.matchings_full == 0
+
+
+# --- the split search ----------------------------------------------------------
+
+#: Generator instances (k, c, seed; d=10) whose searches run past the
+#: first deadline check, so that a split forced at 0 s happens: sat and
+#: unsat, each with at-most scopes, of 1,400 to 10,000 nodes.
+SPLIT_CASES = [
+    (20, 28, 1),
+    (20, 28, 2),
+    (22, 26, 3),
+    (22, 30, 2),
+    (22, 30, 3),
+    (24, 28, 1),
+    (24, 28, 2),
+    (24, 33, 0),
+]
+
+
+def split_case(k, c, seed):
+    return preprocess(generate(GeneratorConfig(k, density_to_e(k, 10), c, seed))).instance
+
+
+def search_counters(out):
+    return tuple(getattr(out.stats, name) for name in solver.COUNTERS)
+
+
+def one_process(instance, **kwargs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_may_fork", lambda: False)
+        return solve(instance, **kwargs)
+
+
+@contextlib.contextmanager
+def forced_split(depth):
+    """Split at the first deadline check, over tasks at ``depth``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_may_fork", lambda: True)
+        mp.setattr(solver, "SPLIT_AFTER", 0.0)
+        mp.setattr(solver, "SPLIT_DEPTH", depth)
+        yield mp
+
+
+@given(case=st.sampled_from(SPLIT_CASES), depth=st.integers(0, 30))
+@settings(max_examples=30)
+def test_split_search_is_the_one_process_walk(case, depth):
+    # Depths past the last step stand for the last: its labels are leaves.
+    inst = split_case(*case)
+    want = one_process(inst)
+    with forced_split(depth):
+        got = solve(inst)
+    assert got.stats.processes == 2
+    assert (got.status, got.plan, search_counters(got)) == (
+        want.status,
+        want.plan,
+        search_counters(want),
+    )
+
+
+@pytest.mark.parametrize("depth", [2, 5, 7])
+def test_split_search_without_prunes_is_the_one_process_walk(depth):
+    inst = hard_unsat_instance(8)
+    want = one_process(inst, prune=False)
+    with forced_split(depth):
+        got = solve(inst, prune=False)
+    assert got.stats.processes == 2
+    assert (got.status, search_counters(got)) == (UNSAT, search_counters(want))
+
+
+@pytest.mark.parametrize(
+    "case, depth, parent_found",
+    [((22, 26, 3), 4, True), ((24, 33, 0), 4, False)],
+)
+def test_no_helper_outlives_a_sat_answer(case, depth, parent_found):
+    inst = split_case(*case)
+    want = one_process(inst)
+    found = []  # the solutions this process's own walk yielded
+    search = solver._search
+
+    def recording(*args):
+        for item in search(*args):
+            found.append(item)
+            yield item
+
+    with forced_split(depth) as mp:
+        mp.setattr(solver, "_search", recording)
+        got = solve(inst)
+    assert_no_child_process()
+    assert (got.status, got.plan) == (SAT, want.plan)
+    assert bool(found and dict(enumerate(found[0][1])) == got.plan) == parent_found
+
+
+def test_no_helper_outlives_an_unsat_answer():
+    with forced_split(6):
+        out = solve(split_case(24, 28, 1))
+    assert_no_child_process()
+    assert (out.status, out.stats.processes) == (UNSAT, 2)
+
+
+def test_no_helper_outlives_a_timeout():
+    with forced_split(6):
+        out = solve(hard_unsat_instance(14), time_limit=0.3)
+    assert_no_child_process()
+    assert (out.status, out.stats.processes) == (TIMEOUT, 2)
+
+
+def test_no_helper_outlives_an_error_in_the_walk():
+    calls = itertools.count()
+    select_step = SearchState.select_step
+
+    def failing(state):
+        # Well past the split at the first deadline check, node 1025.
+        if next(calls) == 3000 and os.getpid() == parent:
+            raise RuntimeError("select_step failed")
+        return select_step(state)
+
+    parent = os.getpid()
+    with forced_split(6) as mp:
+        mp.setattr(SearchState, "select_step", failing)
+        with pytest.raises(RuntimeError, match="select_step failed"):
+            solve(split_case(24, 28, 1))
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("case", [(24, 33, 0), (24, 28, 1)])
+def test_a_lost_helper_leaves_the_one_process_answer(case, capfd):
+    inst = split_case(*case)
+    want = one_process(inst)
+    with forced_split(4) as mp:
+        mp.setattr(solver, "_helper", lambda *args: os._exit(1))
+        got = solve(inst)
+    assert_no_child_process()
+    assert (got.status, got.plan, search_counters(got)) == (
+        want.status,
+        want.plan,
+        search_counters(want),
+    )
+    assert got.stats.processes == 1
+    assert capfd.readouterr().err == ""
+
+
+def test_no_split_where_a_helper_is_unsafe():
+    # SIGCHLD ignored, a second thread, a pool worker.
+    old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert not solver._may_fork()
+    finally:
+        signal.signal(signal.SIGCHLD, old)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert not solver._may_fork()
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(solver._may_fork).result(timeout=60) is False
