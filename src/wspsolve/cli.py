@@ -1,7 +1,8 @@
 """Command line interface and benchmark harness.
 
 Subcommands: solve, generate, enumerate, oracle, bench.  Exit codes
-form a machine contract: 0 sat, 20 unsat, 21 timeout, 2 input error.
+form a machine contract: 0 sat, 20 unsat, 21 timeout, 2 input error,
+130 interrupted (Ctrl-C).
 
 The bench harness mirrors the generator's experiment protocol: a suite
 like ``k=30 d=10 c=1.0k,1.2k,1.4k seeds=0..9`` produces three instances
@@ -48,6 +49,7 @@ EXIT_SAT = 0
 EXIT_UNSAT = 20
 EXIT_TIMEOUT = 21
 EXIT_INPUT_ERROR = 2
+EXIT_INTERRUPTED = 130
 
 _STATUS_EXIT = {SAT: EXIT_SAT, UNSAT: EXIT_UNSAT, TIMEOUT: EXIT_TIMEOUT}
 
@@ -501,6 +503,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # A size too large to allocate is an input error; MemoryError has no message.
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

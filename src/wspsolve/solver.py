@@ -62,11 +62,12 @@ Per-constraint state is flat (see ``SearchState``) and, like the held
 matching, copied on each change rather than logged for undo (Schulte
 compares copying with trailing for constraint programming).
 
-A decision search that is still running after ``SPLIT_AFTER`` seconds
-forks one helper process and shares its remaining subtrees with it, as
-in parallel depth-first search after Rao and Kumar (see ``_Split``).
-The two processes' reports merge in depth-first order, so the outcome,
-the witness and every search counter are those of the one-process walk.
+A search that is still running after ``SPLIT_AFTER`` seconds forks one
+helper process and shares its remaining subtrees with it, as in
+parallel depth-first search after Rao and Kumar (see ``_Split``).  The
+two processes' reports merge in depth-first order, so the outcome, the
+witnesses, the order of an enumeration's patterns and every search
+counter are those of the one-process walk.
 """
 
 from __future__ import annotations
@@ -559,13 +560,14 @@ def _send(fd: int, message) -> None:
         view = view[os.write(fd, view) :]
 
 
-def _read(fd: int, size: int) -> bytes:
-    data = b""
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
+def _read(fd: int, size: int) -> bytearray:
+    data = bytearray(size)
+    view = memoryview(data)
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
             raise EOFError
-        data += chunk
+        view = view[got:]
     return data
 
 
@@ -578,8 +580,13 @@ def _readable(fd: int, timeout: float | None = 0.0) -> bool:
     return bool(select.select([fd], [], [], timeout)[0])
 
 
+#: Where ``matchings_full`` sits in ``COUNTERS``.  Every pattern a walk
+#: yields is one full matching, so it also counts the patterns so far.
+_YIELDED = COUNTERS.index("matchings_full")
+
+
 class _Split:
-    """A decision search's tasks, shared with one forked helper process.
+    """A search's tasks, shared with one forked helper process.
 
     The tasks are the label attempts at depth ``depth``, numbered in
     depth-first order; each covers the attempt's prunes and the whole
@@ -595,17 +602,25 @@ class _Split:
     The one-process counters at a task's boundary are this process's
     counters there plus the helper's for each of its earlier tasks:
     ``at`` keeps the former at every helper task, and the helper reports
-    the latter, task by task, with its first solution.  The first
-    solution in depth-first order is settled once both processes have
-    walked every task before its own, and neither takes a task past the
-    lowest solved one it knows of.
+    the latter, task by task, then its patterns and witnesses when its
+    walk ends.  As ``at[t]`` counts this walk's patterns before task t,
+    it is also where t's patterns go in this walk's list.  A walk ends
+    at its ``limit``-th pattern: a decision's first solution is settled
+    once both processes have walked every task before its own, and
+    neither takes a task past the lowest solved one it knows of.
     """
 
     def __init__(
-        self, instance: WorkflowInstance, prune: bool, deadline: float | None, start: float
+        self,
+        instance: WorkflowInstance,
+        prune: bool,
+        limit: int | None,
+        deadline: float | None,
+        start: float,
     ):
         self.instance = instance
         self.prune = prune
+        self.limit = limit
         self.deadline = math.inf if deadline is None else deadline
         self.depth = min(SPLIT_DEPTH, instance.step_count - 1)
         self.wake = min(self.deadline, start + SPLIT_AFTER)
@@ -614,9 +629,10 @@ class _Split:
         self.pid = 0  # the helper's, while it runs
         self.reports_fd = self.alive_fd = -1  # the pipes from and to the helper
         self.at: dict[int, tuple[int, ...]] = {}
-        self.reports: list[tuple[int, tuple[int, ...]]] = []  # in task order
+        self.reports: dict[int, tuple[int, ...]] = {}  # the helper's counters per task
         self.last = 0  # the last helper task reported
-        self.found = None  # (task, (pattern, users)) of the helper's solution
+        self.found = math.inf  # the task where the helper's walk met the limit
+        self.sent: tuple[list, array] = ([], array("q"))  # the helper's patterns and witnesses
         self.done = False  # the helper has sent its last report
         self.lost = False  # the helper ended before that
 
@@ -631,7 +647,7 @@ class _Split:
         theirs = (t - self.first) & 1
         if theirs:
             self.at[t] = counts
-        if self.found is not None and t >= self.found[0]:
+        if t >= self.found:
             raise _Stop
         return not theirs
 
@@ -642,7 +658,7 @@ class _Split:
             raise _Timeout
         if self.pid:
             self.receive()
-            if self.lost or self.found is not None and self.found[0] < self.task:
+            if self.lost or self.found < self.task:
                 raise _Stop  # the helper is gone, or its solution is settled
             return now
         if _may_fork():
@@ -667,7 +683,7 @@ class _Split:
             try:
                 os.close(reports_r)
                 os.close(alive_w)
-                _helper(self.instance, self.prune, self.depth, first, reports_w, alive_r)
+                _helper(self, first, reports_w, alive_r)
             finally:
                 os._exit(0)
         self.pid, self.reports_fd, self.alive_fd = pid, reports_r, alive_w
@@ -679,12 +695,16 @@ class _Split:
         """Take in every report the helper has sent so far."""
         try:
             while not self.done and _readable(self.reports_fd):
-                records, self.done = _receive(self.reports_fd)
-                for t, counts, found in records:
-                    self.reports.append((t, counts))
+                records, final = _receive(self.reports_fd)
+                for t, counts in records:
+                    self.reports[t] = counts
                     self.last = t
-                    if found is not None:
-                        self.found = t, found
+                if final is not None:
+                    patterns, users = final
+                    self.sent = patterns, array("q", users)
+                    self.done = True
+                    if len(patterns) == self.limit:
+                        self.found = self.last
         except EOFError:
             self.lost = True
 
@@ -693,20 +713,24 @@ class _Split:
     ) -> tuple[list[tuple[int, ...]], array, SearchStats, bool] | None:
         """The one-process outcome from this walk's and the helper's reports.
 
-        Waits, up to the deadline, until the first solution is settled or
-        the helper has reported every task.  On a timeout the counters
-        add up all the work reported.  Returns None if the helper ended
-        without reporting what the outcome needs.
+        Waits, up to the deadline, until the outcome is settled: the
+        helper has reported every task before the first solution, or
+        every task of a walk with no limit.  The patterns and witnesses
+        go in task order, cut at the ``limit``-th pattern.  On a timeout
+        they are cut instead at the first helper task whose patterns
+        have not arrived, a prefix of the one-process list, and the
+        counters add up all the work reported.  Returns None if the
+        helper ended without reporting what the outcome needs.
         """
-        own = self.task - 1 if patterns else math.inf  # the task of this walk's solution
-        walked = self.task - 1 if timed_out else math.inf  # every task before it is walked
+        # The task in which this walk met the limit, and the one it timed
+        # out in, having walked every task before.
+        own = self.task - 1 if len(patterns) == self.limit else math.inf
+        walked = self.task - 1 if timed_out else math.inf
         while True:
             self.receive()
-            end = min(own, self.found[0]) if self.found else own
-            if end <= walked and (self.done or self.last + 2 >= end):
-                break
-            if timed_out:
-                patterns, witnesses, end = [], array("q"), math.inf
+            end = min(own, self.found)
+            settled = end <= walked and (self.done or self.last + 2 >= end)
+            if settled or timed_out:
                 break
             if self.lost:
                 return None
@@ -715,18 +739,34 @@ class _Split:
                 timed_out = True
             else:
                 _readable(self.reports_fd, None if wait == math.inf else wait)
-        if self.found is not None and end == self.found[0]:
-            total, upto = list(self.at[end]), end + 1
-            patterns, witnesses = [self.found[1][0]], array("q", self.found[1][1])
-        else:
-            total, upto = list(_counts(stats)), end
-        for t, counts in self.reports:
-            if t >= upto:
+        k = self.instance.step_count
+        theirs, their_users = self.sent
+        merged, users = [], array("q")
+        base, added = _counts(stats), []  # this walk's counters; the helper's per task merged
+        mine = given = 0  # the patterns of this walk and of the helper merged so far
+        for t, start in self.at.items():
+            cut = start[_YIELDED]
+            merged += patterns[mine:cut]
+            users += witnesses[mine * k : cut * k]
+            mine = cut
+            counts = self.reports.get(t)
+            if counts is None or counts[_YIELDED] and not self.done:
+                break  # t's patterns have not arrived
+            n = counts[_YIELDED]
+            merged += theirs[given : given + n]
+            users += their_users[given * k : (given + n) * k]
+            given += n
+            added.append(counts)
+            if len(merged) == self.limit:  # the helper's solution is the first
+                base = start
                 break
-            total = list(map(operator.add, total, counts))
-        _set_counts(stats, total)
+        else:
+            merged += patterns[mine:]
+            users += witnesses[mine * k :]
+        rows = added if settled else self.reports.values()
+        _set_counts(stats, [sum(c) for c in zip(base, *rows)])
         stats.processes = 2
-        return patterns, witnesses, stats, timed_out
+        return merged, users, stats, timed_out
 
     def close(self) -> None:
         """Kill and reap the helper, if it runs."""
@@ -745,9 +785,10 @@ class _Helper:
     first + 3, and so on, skipping the others.  A task's counters run
     from its boundary to the next visit to the frontier depth, which
     ends the task: the next label's boundary, or the depth's labels run
-    out.  The walk ends at its first solution, as a one-process one
-    would.  Reports go out at the deadline checks and when the walk
-    ends, and the helper stops once the parent's end of the pipe closes.
+    out.  The walk ends at its ``limit``-th pattern, as a one-process
+    one would.  Counters go out at the deadline checks, and the
+    remaining ones with the patterns and witnesses when the walk ends;
+    the helper stops once the parent's end of the pipe closes.
     """
 
     def __init__(self, depth: int, first: int, reports_fd: int, alive_fd: int):
@@ -758,11 +799,11 @@ class _Helper:
         self.wake = 0.0
         self.task = 0
         self.open: tuple[int, tuple[int, ...]] | None = None  # (task, counters at its boundary)
-        self.records: list[tuple] = []  # (task, counters, solution or None), not yet sent
+        self.records: list[tuple[int, tuple[int, ...]]] = []  # (task, counters), not yet sent
 
-    def end_task(self, counts: tuple[int, ...], found=None) -> None:
+    def end_task(self, counts: tuple[int, ...]) -> None:
         t, start = self.open
-        self.records.append((t, tuple(map(operator.sub, counts, start)), found))
+        self.records.append((t, tuple(map(operator.sub, counts, start))))
         self.open = None
 
     def boundary(self, label: bool, counts: tuple[int, ...]) -> bool:
@@ -779,23 +820,23 @@ class _Helper:
 
     def tick(self) -> float:
         if self.records:
-            _send(self.reports_fd, (self.records, False))
+            _send(self.reports_fd, (self.records, None))
             self.records = []
         if _readable(self.alive_fd):  # the parent never writes: its end is closed
             raise _Stop
         return 0.0
 
 
-def _helper(
-    instance: WorkflowInstance, prune: bool, depth: int, first: int, reports_fd: int, alive_fd: int
-) -> None:
+def _helper(split: _Split, first: int, reports_fd: int, alive_fd: int) -> None:
     """The helper process's walk, reported to ``reports_fd``, then a wait
     until the parent closes ``alive_fd``'s other end."""
-    side = _Helper(depth, first, reports_fd, alive_fd)
-    patterns, users, stats, _ = _walk(SearchState(instance), None, prune, 1, side)
-    if patterns:
-        side.end_task(_counts(stats), (patterns[0], users.tolist()))
-    _send(reports_fd, (side.records, True))
+    side = _Helper(split.depth, first, reports_fd, alive_fd)
+    patterns, users, stats, _ = _walk(
+        SearchState(split.instance), None, split.prune, split.limit, side
+    )
+    if side.open is not None:  # the walk met its limit in this task
+        side.end_task(_counts(stats))
+    _send(reports_fd, (side.records, (patterns, users.tobytes())))
     _readable(alive_fd, None)
 
 
@@ -846,9 +887,8 @@ def _drive(
 ) -> tuple[list[tuple[int, ...]], array, SearchStats, bool]:
     """Run one timed search for at most ``limit`` patterns (None: all), as ``_walk``.
 
-    A decision search (``limit`` 1) may split (see ``_Split``); if its
-    helper ends without reporting, the search runs again in this process
-    alone.
+    The search may split (see ``_Split``); if its helper ends without
+    reporting, the search runs again in this process alone.
     """
     if time_limit is not None and math.isnan(time_limit):
         raise ValueError("time limit is NaN")
@@ -859,18 +899,16 @@ def _drive(
         result = [], array("q"), SearchStats(), timed_out
     else:
         deadline = None if time_limit is None else start + time_limit
-        # An enumeration's patterns would have to cross the pipe in order.
-        split = _Split(instance, prune, deadline, start) if limit == 1 else None
+        split = _Split(instance, prune, limit, deadline, start)
         try:
             result = _walk(state, deadline, prune, limit, split)
-            if split is not None and split.pid:
+            if split.pid:
                 result = split.merge(*result)
                 if result is None:
                     split.close()
                     result = _walk(SearchState(instance), deadline, prune, limit, None)
         finally:
-            if split is not None:
-                split.close()
+            split.close()
     result[2].wall_time = time.perf_counter() - start
     return result
 
@@ -963,6 +1001,14 @@ def solve_enumerating(
     Patterns are reported in canonical form (labels renumbered by first
     occurrence in step order) with one witness plan per pattern, stored
     as k users and built into a ``dict`` when read.
+
+    The search splits as ``solve``'s does.  The helper sends its
+    patterns and witnesses when its walk ends, and they are merged in
+    depth-first order, so the patterns, their order, the plans and every
+    counter are those of the one-process search.  A timed-out
+    enumeration returns a prefix of that list, cut where the helper's
+    patterns had not arrived, every witness valid; its counters add up
+    all the work either process reported.
     """
     patterns, users, stats, timed_out = _drive(instance, time_limit, prune, None)
     plans = _Plans(users, instance.step_count)

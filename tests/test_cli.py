@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import io
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ import wspsolve
 from wspsolve import (
     GeneratorConfig,
     Valid,
+    density_to_e,
     generate,
     parse_instance,
     parse_solution,
@@ -543,3 +546,54 @@ def test_python_dash_m_smoke(golden_path):
     assert proc.returncode == 0
     assert proc.stdout.startswith("sat\n")
     assert "status=sat" in proc.stderr
+
+
+def child_pids(pid: int) -> list[int]:
+    """The processes whose parent is ``pid``, read off ``/proc``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        try:
+            # The parent pid follows the state, after the parenthesised name.
+            stat = Path("/proc", entry, "stat").read_text()
+        except (OSError, ValueError):
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc to see the helper")
+def test_ctrl_c_exits_130_and_leaves_no_process(tmp_path):
+    # An enumeration of many seconds, interrupted once it has split (on a
+    # machine with two CPUs) as Ctrl-C in a terminal would: SIGINT to the
+    # whole process group.
+    path = tmp_path / "k14.wsp"
+    config = GeneratorConfig(14, density_to_e(14, 20), 0, 0, users=24)
+    path.write_text(serialize_instance(generate(config)))
+    src = str(Path(wspsolve.__file__).parents[1])
+    pythonpath = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + pythonpath if pythonpath else "")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wspsolve", "enumerate", str(path)],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        wait = time.monotonic() + 5
+        while time.monotonic() < wait and not child_pids(proc.pid):
+            time.sleep(0.05)
+        time.sleep(0.2)
+        assert proc.poll() is None
+        os.killpg(proc.pid, signal.SIGINT)
+        err = proc.communicate(timeout=60)[1]
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130
+    assert err == "interrupted\n"
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)  # nothing is left in its process group

@@ -5,7 +5,9 @@ from __future__ import annotations
 import contextlib
 import gc
 import hashlib
+import functools
 import itertools
+import operator
 import os
 import signal
 import threading
@@ -583,20 +585,25 @@ def test_enumerated_plans_are_a_sequence_of_fresh_dicts():
     assert plans[0] == listed[0]
 
 
-def test_enumeration_retains_little_per_pattern():
+@pytest.mark.parametrize("split", [False, True], ids=["default", "split"])
+def test_enumeration_retains_little_per_pattern(split):
     # 7,491 patterns; one dict witness each kept about 490 bytes per pattern.
+    # Split, nothing of the helper's transfer or the merge stays behind.
     inst = generate(GeneratorConfig(10, density_to_e(10, 20), 0, 0, users=24))
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = solve_enumerating(inst)
+        with forced_split(4) if split else contextlib.nullcontext():
+            out = solve_enumerating(inst)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert out.count == 7491
     assert retained <= 300 * out.count
+    if split:
+        assert out.stats.processes == 2
 
 
 # --- determinism -------------------------------------------------------------
@@ -920,3 +927,105 @@ def test_no_split_where_a_helper_is_unsafe():
     assert not thread.is_alive()
     with ProcessPoolExecutor(max_workers=1) as pool:
         assert pool.submit(solver._may_fork).result(timeout=60) is False
+
+
+# --- the split enumeration -----------------------------------------------------
+
+#: Enumerations (k, generator seed, users, density, prune) that run past
+#: the first deadline check, so that a split forced at 0 s happens: 24
+#: users at k=8..12, pruned and not, and a scarce-user k=16 one whose
+#: walk re-matches blocks by augmenting paths.
+ENUM_SPLIT_CASES = [
+    (8, 0, 24, 20, False),
+    (9, 0, 24, 20, False),
+    (10, 0, 24, 20, True),
+    (11, 0, 24, 20, True),
+    (12, 0, 24, 20, True),
+    (16, 2, 9, 40, True),
+]
+
+
+def enum_case(k, seed, users, density, prune):
+    config = GeneratorConfig(k, density_to_e(k, density), 0, seed, users=users)
+    return preprocess(generate(config)).instance
+
+
+@functools.cache
+def one_process_enumeration(case):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_may_fork", lambda: False)
+        return solve_enumerating(enum_case(*case), prune=case[-1])
+
+
+def assert_same_enumeration(got, want):
+    assert got.patterns == want.patterns
+    # Plan by plan: a list of every plan dict at once would take tens of MB.
+    assert len(got.plans) == len(want.plans)
+    assert all(map(operator.eq, got.plans, want.plans))
+    assert search_counters(got) == search_counters(want)
+
+
+@given(case=st.sampled_from(ENUM_SPLIT_CASES), data=st.data())
+@settings(max_examples=32)
+def test_split_enumeration_is_the_one_process_walk(case, data):
+    depth = data.draw(st.integers(0, case[0]), label="depth")
+    want = one_process_enumeration(case)
+    with forced_split(depth):
+        got = solve_enumerating(enum_case(*case), prune=case[-1])
+    assert (got.stats.processes, got.timed_out) == (2, False)
+    assert_same_enumeration(got, want)
+
+
+def test_no_helper_outlives_an_enumeration():
+    with forced_split(6):
+        out = solve_enumerating(enum_case(*ENUM_SPLIT_CASES[3]))
+    assert_no_child_process()
+    assert (out.count, out.stats.processes) == (33159, 2)
+
+
+@pytest.mark.parametrize("depth", [4, 6, 8])
+def test_a_timed_out_split_enumeration_is_a_prefix_of_the_walk(depth):
+    # The deeper the tasks, the more of them the helper has reported,
+    # patterns not yet sent, when the deadline passes.
+    case = ENUM_SPLIT_CASES[4]
+    inst = enum_case(*case)
+    want = one_process_enumeration(case)
+    with forced_split(depth):
+        got = solve_enumerating(inst, time_limit=0.2)
+    assert_no_child_process()
+    assert (got.timed_out, got.stats.processes) == (True, 2)
+    assert 0 < got.count < want.count
+    assert got.patterns == want.patterns[: got.count]
+    for i, plan in enumerate(got.plans):
+        assert encode(plan, inst.step_count) == got.patterns[i]
+        assert validate_plan(inst, plan) == Valid()
+
+
+def test_no_helper_outlives_an_error_in_an_enumeration():
+    calls = itertools.count()
+    select_step = SearchState.select_step
+
+    def failing(state):
+        # Well past the split at the first deadline check, node 1025.
+        if next(calls) == 3000 and os.getpid() == parent:
+            raise RuntimeError("select_step failed")
+        return select_step(state)
+
+    parent = os.getpid()
+    with forced_split(6) as mp:
+        mp.setattr(SearchState, "select_step", failing)
+        with pytest.raises(RuntimeError, match="select_step failed"):
+            solve_enumerating(enum_case(*ENUM_SPLIT_CASES[3]))
+    assert_no_child_process()
+
+
+def test_a_lost_helper_leaves_the_one_process_enumeration(capfd):
+    case = ENUM_SPLIT_CASES[3]
+    want = one_process_enumeration(case)
+    with forced_split(4) as mp:
+        mp.setattr(solver, "_helper", lambda *args: os._exit(1))
+        got = solve_enumerating(enum_case(*case), prune=case[-1])
+    assert_no_child_process()
+    assert_same_enumeration(got, want)
+    assert got.stats.processes == 1
+    assert capfd.readouterr().err == ""
