@@ -909,6 +909,38 @@ def test_a_lost_helper_leaves_the_one_process_answer(case, capfd):
     assert capfd.readouterr().err == ""
 
 
+def helper_lost_at_message(n):
+    """A ``_send`` with which the helper exits at its ``n``-th message."""
+    send = solver._send
+    sent = itertools.count(1)
+
+    def failing(fd, message):
+        if next(sent) == n:
+            os._exit(1)
+        send(fd, message)
+
+    return failing
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_a_helper_lost_after_reporting_leaves_the_one_process_answer(case, n, capfd):
+    # Lost after its first message, the helper may have settled the answer
+    # already (two processes) or not (a rerun in one); either is the walk.
+    inst = split_case(*case)
+    want = one_process(inst)
+    with forced_split(4) as mp:
+        mp.setattr(solver, "_send", helper_lost_at_message(n))
+        got = solve(inst)
+    assert_no_child_process()
+    assert (got.status, got.plan, search_counters(got)) == (
+        want.status,
+        want.plan,
+        search_counters(want),
+    )
+    assert capfd.readouterr().err == ""
+
+
 def test_no_split_where_a_helper_is_unsafe():
     # SIGCHLD ignored, a second thread, a pool worker.
     old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
@@ -1028,4 +1060,16 @@ def test_a_lost_helper_leaves_the_one_process_enumeration(capfd):
     assert_no_child_process()
     assert_same_enumeration(got, want)
     assert got.stats.processes == 1
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_helper_lost_after_reporting_leaves_the_one_process_enumeration(n, capfd):
+    case = ENUM_SPLIT_CASES[3]
+    want = one_process_enumeration(case)
+    with forced_split(4) as mp:
+        mp.setattr(solver, "_send", helper_lost_at_message(n))
+        got = solve_enumerating(enum_case(*case), prune=case[-1])
+    assert_no_child_process()
+    assert_same_enumeration(got, want)
     assert capfd.readouterr().err == ""
