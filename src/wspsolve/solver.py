@@ -766,7 +766,7 @@ class _Split:
         rows = added if settled else self.reports.values()
         _set_counts(stats, [sum(c) for c in zip(base, *rows)])
         stats.processes = 2
-        return merged, users, stats, timed_out
+        return merged, users, stats, timed_out and not settled
 
     def close(self) -> None:
         """Kill and reap the helper, if it runs."""

@@ -11,6 +11,7 @@ import operator
 import os
 import signal
 import threading
+import time
 import tracemalloc
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -939,6 +940,36 @@ def test_a_helper_lost_after_reporting_leaves_the_one_process_answer(case, n, ca
         search_counters(want),
     )
     assert capfd.readouterr().err == ""
+
+
+def test_a_split_search_timed_out_past_a_settled_solution_is_sat():
+    # The parent reads nothing at its first check after the fork, so it
+    # walks past the task of the helper's solution; at the next it takes
+    # in that solution and its deadline passes.  Every task before the
+    # solution has then been walked, so the answer is settled.
+    inst = split_case(22, 30, 2)
+    want = one_process(inst)
+    tick = solver._Split.tick
+    checks = itertools.count()
+    passed = []  # whether the parent had walked past the helper's solution
+
+    def late(split):
+        if split.pid:  # the parent, once forked
+            if next(checks) == 0:
+                return time.perf_counter()
+            while not split.done:
+                solver._readable(split.reports_fd, None)
+                split.receive()
+            passed.append(split.found < split.task)
+            split.deadline = 0.0
+        return tick(split)
+
+    with forced_split(4) as mp:
+        mp.setattr(solver._Split, "tick", late)
+        got = solve(inst)
+    assert passed == [True]
+    assert (got.status, got.plan, got.stats.processes) == (SAT, want.plan, 2)
+    assert search_counters(got) == search_counters(want)
 
 
 def test_no_split_where_a_helper_is_unsafe():
