@@ -279,9 +279,10 @@ class SearchStats:
     matching_prunes: extensions cut as no matching covers all the blocks.
     matchings: leaves decided by a matching; with the prunes on, each one succeeds.
     matchings_full: leaf matchings that cover every block, one per pattern found.
-    processes: processes that searched, 2 when ``solve`` split its search
-        over a helper process.  It depends on timing; the counters above
-        are those of the one-process walk either way.
+    processes: processes that searched, 2 when ``solve`` or
+        ``solve_enumerating`` split its search over a helper process.  It
+        depends on timing; the counters above are those of the
+        one-process walk either way, unless the search timed out.
     wall_time: seconds the run took.
     """
 

@@ -64,10 +64,12 @@ compares copying with trailing for constraint programming).
 
 A search that is still running after ``SPLIT_AFTER`` seconds forks one
 helper process and shares its remaining subtrees with it, as in
-parallel depth-first search after Rao and Kumar (see ``_Split``).  The
-two processes' reports merge in depth-first order, so the outcome, the
-witnesses, the order of an enumeration's patterns and every search
-counter are those of the one-process walk.
+parallel depth-first search after Rao and Kumar.  Both processes run
+the same ``_Split``: each records its counters per run of the tasks it
+owns, and one pass over both processes' runs in depth-first order
+merges them, so the outcome, the witnesses, the order of an
+enumeration's patterns and every search counter are those of the
+one-process walk.
 """
 
 from __future__ import annotations
@@ -382,7 +384,7 @@ def _search(
     deadline: float | None,
     prune: bool,
     stats: SearchStats,
-    split: _Split | _Helper | None = None,
+    split: _Split | None = None,
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """Depth-first walk yielding (canonical pattern, users) per realisable leaf.
 
@@ -393,10 +395,10 @@ def _search(
     in locals and written to ``stats`` when the walk ends: when it is
     exhausted, on a timeout, or when the generator is closed early.
 
-    With ``split``, each visit to depth ``split.depth`` first calls
-    ``split.boundary``, which may skip the label (another process's
-    task) or raise _Stop, and the deadline checks call ``split.tick``
-    for the next time to call it.
+    With ``split``, each label attempt at depth ``split.depth`` first
+    calls ``split.boundary`` with the counters so far, which may skip the
+    label (the other process's task) or raise _Stop, and the deadline
+    checks call ``split.tick`` for the next time to call it.
     """
     pattern = state.pattern
     k = state.step_count
@@ -439,13 +441,6 @@ def _search(
         while depth >= 0:
             x = next_label[depth]
             top = pattern.max_label + 1
-            if depth == frontier and not boundary(
-                x <= top,
-                (nodes, auth_prunes, eligibility_prunes, forward_prunes, matching_prunes,
-                 matchings, matchings_full),
-            ):
-                next_label[depth] = x + 1
-                continue
             if x > top:
                 depth -= 1
                 if depth >= 0:
@@ -453,6 +448,11 @@ def _search(
                     matched, held = before[depth]
                 continue
             next_label[depth] = x + 1
+            if depth == frontier and not boundary(
+                (nodes, auth_prunes, eligibility_prunes, forward_prunes, matching_prunes,
+                 matchings, matchings_full)
+            ):
+                continue
             step = steps[depth]
             # The users of x's block once step joins it.
             m = auth[step] if x == top else block_masks[x] & auth[step]
@@ -586,28 +586,31 @@ _YIELDED = COUNTERS.index("matchings_full")
 
 
 class _Split:
-    """A search's tasks, shared with one forked helper process.
+    """A search's tasks, shared by this process (side 0) and one forked
+    helper (side 1), which run this same class.
 
     The tasks are the label attempts at depth ``depth``, numbered in
-    depth-first order; each covers the attempt's prunes and the whole
-    subtree below it.  Until the fork this process takes every task.  It
-    forks at the first deadline check after ``SPLIT_AFTER`` seconds, if
-    ``_may_fork`` allows, and keeps the task in progress and every one
-    before it.  Of the later tasks the helper takes every other one,
-    from the next on (see ``_Helper``).  Each process skips the other's
-    tasks before counting anything for them, and a skipped task leaves
-    the search state as a walked one would, so both walk and count the
-    depths above alike.
+    depth-first order.  Until the fork side 0 owns every task.  It forks
+    at the first deadline check after ``SPLIT_AFTER`` seconds, if
+    ``_may_fork`` allows, and keeps the task in progress, ``first``, and
+    every one before it; of the later ones the helper owns every other
+    one, from the next on (``owner``).  The helper walks
+    from the empty pattern.  Each side skips the other's tasks before
+    counting anything for them, and a skipped task leaves the search
+    state as a walked one would, so both walk the depths above alike.
 
-    The one-process counters at a task's boundary are this process's
-    counters there plus the helper's for each of its earlier tasks:
-    ``at`` keeps the former at every helper task, and the helper reports
-    the latter, task by task, then its patterns and witnesses when its
-    walk ends.  As ``at[t]`` counts this walk's patterns before task t,
-    it is also where t's patterns go in this walk's list.  A walk ends
-    at its ``limit``-th pattern: a decision's first solution is settled
-    once both processes have walked every task before its own, and
-    neither takes a task past the lowest solved one it knows of.
+    A task covers its label attempt, the subtree below it and the walk
+    above ``depth`` up to the next task's boundary; the walk before task
+    0 is side 0's.  Each side records ``(first task, side, counter
+    deltas)`` per run of consecutive tasks it owns, so the one-process
+    counters are the sum of both sides' runs, and a run's
+    ``matchings_full`` counts its patterns in its side's list.  The
+    helper sends its finished runs, and how far they reach
+    (``finished``), at its deadline checks, then its patterns and
+    witnesses when its walk ends.  A walk ends at its
+    ``limit``-th pattern (1 or None): a decision's first solution is
+    settled once both sides have walked every task before its own, and
+    side 0 takes no task past the helper's solution once it knows of it.
     """
 
     def __init__(
@@ -624,38 +627,62 @@ class _Split:
         self.deadline = math.inf if deadline is None else deadline
         self.depth = min(SPLIT_DEPTH, instance.step_count - 1)
         self.wake = min(self.deadline, start + SPLIT_AFTER)
-        self.task = 0  # the tasks begun so far
+        self.side = 0
         self.first = math.inf  # the last task begun before the fork
+        self.task = 0  # the tasks begun so far
+        self.runs: list[tuple[int, int, tuple[int, ...]]] = []  # this side's, not yet sent
+        # The open run, (its first task, the counters there), or None.
+        self.run: tuple[int, tuple[int, ...]] | None = (-1, (0,) * len(COUNTERS))
         self.pid = 0  # the helper's, while it runs
-        self.reports_fd = self.alive_fd = -1  # the pipes from and to the helper
-        self.at: dict[int, tuple[int, ...]] = {}
-        self.reports: dict[int, tuple[int, ...]] = {}  # the helper's counters per task
-        self.last = 0  # the last helper task reported
+        # The pipes' ends: side 0 reads reports and holds the helper alive.
+        self.reports_fd = self.alive_fd = -1
+        self.theirs: list[tuple[int, int, tuple[int, ...]]] = []  # the helper's runs received
+        self.reported = 0  # the helper has reported every task of its before this one
         self.found = math.inf  # the task where the helper's walk met the limit
         self.sent: tuple[list, array] = ([], array("q"))  # the helper's patterns and witnesses
         self.done = False  # the helper has sent its last report
         self.lost = False  # the helper ended before that
 
-    def boundary(self, label: bool, counts: tuple[int, ...]) -> bool:
+    def owner(self, t: int) -> int:
+        """The side that owns task ``t``."""
+        return 0 if t <= self.first else (t - self.first) & 1
+
+    def boundary(self, counts: tuple[int, ...]) -> bool:
         """Take the task of this label attempt?  Raises _Stop past a solved one."""
-        if not label:
-            return True
         t = self.task
         self.task = t + 1
-        if t <= self.first:
-            return True
-        theirs = (t - self.first) & 1
-        if theirs:
-            self.at[t] = counts
         if t >= self.found:
             raise _Stop
-        return not theirs
+        mine = self.owner(t) == self.side
+        if not mine:
+            self.end_run(counts)
+        elif self.run is None:
+            self.run = t, counts
+        return mine
+
+    def finished(self) -> int:
+        """Every task before this one that this side owns is in a finished run."""
+        return self.task if self.run is None else self.run[0]
+
+    def end_run(self, counts: tuple[int, ...]) -> None:
+        """Record the open run, if any, as ending at ``counts``."""
+        if self.run is not None:
+            t, start = self.run
+            self.runs.append((t, self.side, tuple(map(operator.sub, counts, start))))
+            self.run = None
 
     def tick(self) -> float:
-        """The deadline check: forks or reads the helper's reports; the next check's time."""
+        """The deadline check: forks, or sends or takes in reports; the next check's time."""
         now = time.perf_counter()
         if now >= self.deadline:
             raise _Timeout
+        if self.side:
+            if self.runs:
+                _send(self.reports_fd, (self.runs, self.finished(), None))
+                self.runs = []
+            if _readable(self.alive_fd):  # side 0 never writes: its end is closed
+                raise _Stop
+            return now
         if self.pid:
             self.receive()
             if self.lost or self.found < self.task:
@@ -676,18 +703,21 @@ class _Split:
                 os.close(fd)
             return
         reports_r, reports_w, alive_r, alive_w = fds
-        first = self.task - 1
+        self.first = self.task - 1
         if pid == 0:
             # The helper never returns into the caller's code, so flushes
             # no stdio buffer and runs no exit handler of the caller's.
             try:
                 os.close(reports_r)
                 os.close(alive_w)
-                _helper(self, first, reports_w, alive_r)
+                self.side, self.task, self.run, self.runs = 1, 0, None, []
+                self.deadline, self.wake = math.inf, 0.0
+                self.reports_fd, self.alive_fd = reports_w, alive_r
+                _helper(self)
             finally:
                 os._exit(0)
         self.pid, self.reports_fd, self.alive_fd = pid, reports_r, alive_w
-        self.first, self.last = first, first - 1
+        self.reported = self.first + 1
         os.close(reports_w)
         os.close(alive_r)
 
@@ -695,33 +725,35 @@ class _Split:
         """Take in every report the helper has sent so far."""
         try:
             while not self.done and _readable(self.reports_fd):
-                records, final = _receive(self.reports_fd)
-                for t, counts in records:
-                    self.reports[t] = counts
-                    self.last = t
+                runs, self.reported, final = _receive(self.reports_fd)
+                self.theirs += runs
                 if final is not None:
                     patterns, users = final
                     self.sent = patterns, array("q", users)
                     self.done = True
                     if len(patterns) == self.limit:
-                        self.found = self.last
+                        self.found = self.theirs[-1][0]
         except EOFError:
             self.lost = True
 
     def merge(
         self, patterns: list, witnesses: array, stats: SearchStats, timed_out: bool
     ) -> tuple[list[tuple[int, ...]], array, SearchStats, bool] | None:
-        """The one-process outcome from this walk's and the helper's reports.
+        """The one-process outcome from both sides' runs, for side 0's walk.
 
         Waits, up to the deadline, until the outcome is settled: the
         helper has reported every task before the first solution, or
-        every task of a walk with no limit.  The patterns and witnesses
-        go in task order, cut at the ``limit``-th pattern.  On a timeout
-        they are cut instead at the first helper task whose patterns
-        have not arrived, a prefix of the one-process list, and the
-        counters add up all the work reported.  Returns None if the
-        helper ended without reporting what the outcome needs.
+        every task of a walk with no limit.  One pass over both sides'
+        runs in task order then takes each run's patterns and witnesses
+        from its side's lists and adds up its counters, up to the
+        ``limit``-th pattern.  If the deadline passes first, the patterns
+        end before the first run that is missing, that holds patterns
+        the helper has not sent, or that begins past the task this walk
+        timed out in: a prefix of the one-process list.  The counters
+        then add up every run either side reported.  Returns None if
+        the helper ended without reporting what the outcome needs.
         """
+        self.end_run(_counts(stats))
         # The task in which this walk met the limit, and the one it timed
         # out in, having walked every task before.
         own = self.task - 1 if len(patterns) == self.limit else math.inf
@@ -729,7 +761,7 @@ class _Split:
         while True:
             self.receive()
             end = min(own, self.found)
-            settled = end <= walked and (self.done or self.last + 2 >= end)
+            settled = end <= walked and (self.done or self.reported >= end)
             if settled or timed_out:
                 break
             if self.lost:
@@ -740,31 +772,25 @@ class _Split:
             else:
                 _readable(self.reports_fd, None if wait == math.inf else wait)
         k = self.instance.step_count
-        theirs, their_users = self.sent
+        sources = (patterns, witnesses), self.sent
+        runs = sorted(self.runs + self.theirs)
         merged, users = [], array("q")
-        base, added = _counts(stats), []  # this walk's counters; the helper's per task merged
-        mine = given = 0  # the patterns of this walk and of the helper merged so far
-        for t, start in self.at.items():
-            cut = start[_YIELDED]
-            merged += patterns[mine:cut]
-            users += witnesses[mine * k : cut * k]
-            mine = cut
-            counts = self.reports.get(t)
-            if counts is None or counts[_YIELDED] and not self.done:
-                break  # t's patterns have not arrived
+        given = [0, 0]  # the patterns taken from each side's list
+        prev = 1  # the side of the run before: task -1 opens side 0's first run
+        for i, (t, side, counts) in enumerate(runs):
             n = counts[_YIELDED]
-            merged += theirs[given : given + n]
-            users += their_users[given * k : (given + n) * k]
-            given += n
-            added.append(counts)
-            if len(merged) == self.limit:  # the helper's solution is the first
-                base = start
+            if t > walked or side == prev or n and side and not self.done:
+                break  # a timeout's prefix ends here
+            source, source_users = sources[side]
+            g = given[side]
+            merged += source[g : g + n]
+            users += source_users[g * k : (g + n) * k]
+            given[side] = g + n
+            prev = side
+            if len(merged) == self.limit:  # the one-process walk ends here
+                del runs[i + 1 :]
                 break
-        else:
-            merged += patterns[mine:]
-            users += witnesses[mine * k :]
-        rows = added if settled else self.reports.values()
-        _set_counts(stats, [sum(c) for c in zip(base, *rows)])
+        _set_counts(stats, [sum(c) for c in zip(*[counts for _, _, counts in runs])])
         stats.processes = 2
         return merged, users, stats, timed_out and not settled
 
@@ -778,66 +804,15 @@ class _Split:
             self.pid = 0
 
 
-class _Helper:
-    """The helper process's side of a ``_Split``.
-
-    It walks from the empty pattern and takes the tasks first + 1,
-    first + 3, and so on, skipping the others.  A task's counters run
-    from its boundary to the next visit to the frontier depth, which
-    ends the task: the next label's boundary, or the depth's labels run
-    out.  The walk ends at its ``limit``-th pattern, as a one-process
-    one would.  Counters go out at the deadline checks, and the
-    remaining ones with the patterns and witnesses when the walk ends;
-    the helper stops once the parent's end of the pipe closes.
-    """
-
-    def __init__(self, depth: int, first: int, reports_fd: int, alive_fd: int):
-        self.depth = depth
-        self.first = first
-        self.reports_fd = reports_fd
-        self.alive_fd = alive_fd
-        self.wake = 0.0
-        self.task = 0
-        self.open: tuple[int, tuple[int, ...]] | None = None  # (task, counters at its boundary)
-        self.records: list[tuple[int, tuple[int, ...]]] = []  # (task, counters), not yet sent
-
-    def end_task(self, counts: tuple[int, ...]) -> None:
-        t, start = self.open
-        self.records.append((t, tuple(map(operator.sub, counts, start))))
-        self.open = None
-
-    def boundary(self, label: bool, counts: tuple[int, ...]) -> bool:
-        if self.open is not None:
-            self.end_task(counts)
-        if not label:
-            return True
-        t = self.task
-        self.task = t + 1
-        if t > self.first and (t - self.first) & 1:
-            self.open = t, counts
-            return True
-        return False
-
-    def tick(self) -> float:
-        if self.records:
-            _send(self.reports_fd, (self.records, None))
-            self.records = []
-        if _readable(self.alive_fd):  # the parent never writes: its end is closed
-            raise _Stop
-        return 0.0
-
-
-def _helper(split: _Split, first: int, reports_fd: int, alive_fd: int) -> None:
-    """The helper process's walk, reported to ``reports_fd``, then a wait
-    until the parent closes ``alive_fd``'s other end."""
-    side = _Helper(split.depth, first, reports_fd, alive_fd)
+def _helper(split: _Split) -> None:
+    """The helper's walk, reported to ``split.reports_fd``, then a wait
+    until side 0 closes ``split.alive_fd``'s other end."""
     patterns, users, stats, _ = _walk(
-        SearchState(split.instance), None, split.prune, split.limit, side
+        SearchState(split.instance), None, split.prune, split.limit, split
     )
-    if side.open is not None:  # the walk met its limit in this task
-        side.end_task(_counts(stats))
-    _send(reports_fd, (side.records, (patterns, users.tobytes())))
-    _readable(alive_fd, None)
+    split.end_run(_counts(stats))
+    _send(split.reports_fd, (split.runs, split.finished(), (patterns, users.tobytes())))
+    _readable(split.alive_fd, None)
 
 
 def _root_unsat(instance: WorkflowInstance) -> bool:
@@ -853,7 +828,7 @@ def _walk(
     deadline: float | None,
     prune: bool,
     limit: int | None,
-    split: _Split | _Helper | None,
+    split: _Split | None,
 ) -> tuple[list[tuple[int, ...]], array, SearchStats, bool]:
     """One walk for at most ``limit`` patterns (None: all).
 
@@ -933,9 +908,14 @@ def solve(
     A search still running after ``SPLIT_AFTER`` seconds forks one
     helper process to search part of the tree, on Linux with at least
     two CPUs, from a single-threaded process that is not a
-    ``multiprocessing`` worker.  The helper ends before ``solve``
-    returns, and the outcome, the witness and every counter are those of
-    the one-process search; only ``stats.processes`` and the times tell.
+    ``multiprocessing`` worker.  The outcome, the witness and every
+    counter are those of the one-process search; only
+    ``stats.processes`` and the times tell.  The fork is otherwise
+    visible to the caller: its ``os.register_at_fork`` hooks run,
+    ``before`` and ``after_in_parent`` in the caller and
+    ``after_in_child`` in the helper, and the helper holds a copy of every file descriptor the caller has
+    open.  ``solve`` kills the helper with SIGKILL and reaps it before
+    it returns or raises.
     """
     patterns, users, stats, timed_out = _drive(instance, time_limit, prune, 1)
     status = TIMEOUT if timed_out else SAT if patterns else UNSAT
