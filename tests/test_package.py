@@ -5,12 +5,16 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import wspsolve
+from conftest import GOLDEN_PLAN, GOLDEN_TEXT
 from wspsolve.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,6 +60,22 @@ def test_readme_cli_flags_exist():
             else:
                 assert flag in options[owner], (owner, flag)
     assert checked
+
+
+def test_imports_and_solves_without_fcntl():
+    """The package uses ``fcntl`` only where it forks, so it imports and
+    solves on a platform without the module."""
+    code = (
+        "import sys; sys.modules['fcntl'] = None\n"
+        "from wspsolve import Valid, parse_instance, preprocess, solve, validate_plan\n"
+        f"inst = parse_instance({GOLDEN_TEXT!r})\n"
+        "pre = preprocess(inst)\n"
+        "plan = pre.expand_plan(solve(pre.instance).plan)\n"
+        "print(plan, validate_plan(inst, plan) == Valid())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", f"{GOLDEN_PLAN} True\n")
 
 
 @pytest.fixture

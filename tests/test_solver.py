@@ -861,6 +861,20 @@ def test_no_helper_outlives_a_sat_answer(case, depth, parent_found):
     assert bool(found and dict(enumerate(found[0][1])) == got.plan) == parent_found
 
 
+@pytest.mark.parametrize("case", [(20, 28, 1), (22, 26, 3), (22, 30, 2), (24, 28, 2), (24, 33, 0)])
+def test_a_parent_solution_is_settled_without_the_helper(case):
+    # At depth 0 the one task is the parent's, so its solution is settled
+    # at once, though the helper never reports.
+    inst = split_case(*case)
+    want = one_process(inst)
+    with forced_split(0) as mp:
+        mp.setattr(solver, "_helper", lambda split: solver._readable(split.alive_fd, None))
+        got = solve(inst, time_limit=3)
+    assert (got.status, got.plan, got.stats.processes) == (SAT, want.plan, 2)
+    assert search_counters(got) == search_counters(want)
+    assert got.stats.wall_time < 1.5
+
+
 def test_no_helper_outlives_an_unsat_answer():
     with forced_split(6):
         out = solve(split_case(24, 28, 1))
@@ -1059,6 +1073,29 @@ def test_a_timed_out_split_enumeration_is_a_prefix_of_the_walk(depth):
     assert (got.timed_out, got.stats.processes) == (True, 2)
     assert 0 < got.count < want.count
     assert got.patterns == want.patterns[: got.count]
+    for i, plan in enumerate(got.plans):
+        assert encode(plan, inst.step_count) == got.patterns[i]
+        assert validate_plan(inst, plan) == Valid()
+
+
+def test_a_timed_out_split_enumeration_keeps_the_helpers_reported_patterns():
+    case = ENUM_SPLIT_CASES[4]
+    inst = enum_case(*case)
+    want = one_process_enumeration(case)
+    found = set()  # the patterns this process's own walk yielded
+    search = solver._search
+
+    def recording(*args):
+        for item in search(*args):
+            found.add(item[0])
+            yield item
+
+    with forced_split(solver.SPLIT_DEPTH) as mp:
+        mp.setattr(solver, "_search", recording)
+        got = solve_enumerating(inst, time_limit=0.5)
+    assert (got.timed_out, got.stats.processes) == (True, 2)
+    assert got.patterns == want.patterns[: got.count]
+    assert len(set(got.patterns) - found) > 0  # some are the helper's
     for i, plan in enumerate(got.plans):
         assert encode(plan, inst.step_count) == got.patterns[i]
         assert validate_plan(inst, plan) == Valid()
