@@ -65,9 +65,9 @@ compares copying with trailing for constraint programming).
 A search that is still running after ``SPLIT_AFTER`` seconds forks one
 helper process and shares its remaining subtrees with it, as in
 parallel depth-first search after Rao and Kumar.  Both processes run
-the same ``_Split``: each records its counters per run of the tasks it
-owns, and one pass over both processes' runs in depth-first order
-merges them, so the outcome, the witnesses, the order of an
+the same ``_Split``: each records its counters and patterns per run of
+the tasks it owns, and one pass over both processes' runs in
+depth-first order merges them, so the outcome, the witnesses, the order of an
 enumeration's patterns and every search counter are those of the
 one-process walk.
 """
@@ -580,11 +580,6 @@ def _readable(fd: int, timeout: float | None = 0.0) -> bool:
     return bool(select.select([fd], [], [], timeout)[0])
 
 
-#: Where ``matchings_full`` sits in ``COUNTERS``.  Every pattern a walk
-#: yields is one full matching, so it also counts the patterns so far.
-_YIELDED = COUNTERS.index("matchings_full")
-
-
 class _Split:
     """A search's tasks, shared by this process (side 0) and one forked
     helper (side 1), which run this same class.
@@ -602,15 +597,16 @@ class _Split:
     A task covers its label attempt, the subtree below it and the walk
     above ``depth`` up to the next task's boundary; the walk before task
     0 is side 0's.  Each side records ``(first task, side, counter
-    deltas)`` per run of consecutive tasks it owns, so the one-process
-    counters are the sum of both sides' runs, and a run's
-    ``matchings_full`` counts its patterns in its side's list.  The
-    helper sends its finished runs, and how far they reach
-    (``finished``), at its deadline checks, then its patterns and
-    witnesses when its walk ends.  A walk ends at its
-    ``limit``-th pattern (1 or None): a decision's first solution is
-    settled once both sides have walked every task before its own, and
-    side 0 takes no task past the helper's solution once it knows of it.
+    deltas, patterns, witness bytes)`` per run of consecutive tasks it
+    owns: the one-process counters are the sum of both sides' runs, and
+    its patterns those of the runs in task order.  The walk appends to
+    ``patterns`` and ``witnesses``, which ``end_run`` moves into the run.
+    The helper reports its finished runs, and how far they reach
+    (``finished``), at its deadline checks and when its walk ends.  A
+    walk ends at its ``limit``-th pattern (1 or None): a decision's
+    first solution is settled once both sides have walked every task
+    before its own, and side 0 takes no task past the helper's solution
+    once it knows of it.
     """
 
     def __init__(
@@ -630,16 +626,17 @@ class _Split:
         self.side = 0
         self.first = math.inf  # the last task begun before the fork
         self.task = 0  # the tasks begun so far
-        self.runs: list[tuple[int, int, tuple[int, ...]]] = []  # this side's, not yet sent
-        # The open run, (its first task, the counters there), or None.
+        self.runs: list[tuple] = []  # this side's not yet sent; on side 0 the helper's too
+        # The open run, (its first task, the counters there), or None, and
+        # the patterns and witnesses the walk has found since it opened.
         self.run: tuple[int, tuple[int, ...]] | None = (-1, (0,) * len(COUNTERS))
+        self.patterns: list[tuple[int, ...]] = []
+        self.witnesses = array("q")
         self.pid = 0  # the helper's, while it runs
         # The pipes' ends: side 0 reads reports and holds the helper alive.
         self.reports_fd = self.alive_fd = -1
-        self.theirs: list[tuple[int, int, tuple[int, ...]]] = []  # the helper's runs received
         self.reported = 0  # the helper has reported every task of its before this one
         self.found = math.inf  # the task where the helper's walk met the limit
-        self.sent: tuple[list, array] = ([], array("q"))  # the helper's patterns and witnesses
         self.done = False  # the helper has sent its last report
         self.lost = False  # the helper ended before that
 
@@ -665,11 +662,20 @@ class _Split:
         return self.task if self.run is None else self.run[0]
 
     def end_run(self, counts: tuple[int, ...]) -> None:
-        """Record the open run, if any, as ending at ``counts``."""
+        """Record the open run, if any, as ending at ``counts``, with the
+        patterns and witnesses found in it."""
         if self.run is not None:
             t, start = self.run
-            self.runs.append((t, self.side, tuple(map(operator.sub, counts, start))))
+            deltas = tuple(map(operator.sub, counts, start))
+            self.runs.append((t, self.side, deltas, self.patterns[:], self.witnesses.tobytes()))
+            del self.patterns[:], self.witnesses[:]
             self.run = None
+
+    def report(self, done: bool) -> None:
+        """Send side 0 the finished runs, how far they reach, and whether
+        the walk has ended."""
+        _send(self.reports_fd, (self.runs, self.finished(), done))
+        self.runs = []
 
     def tick(self) -> float:
         """The deadline check: forks, or sends or takes in reports; the next check's time."""
@@ -678,8 +684,7 @@ class _Split:
             raise _Timeout
         if self.side:
             if self.runs:
-                _send(self.reports_fd, (self.runs, self.finished(), None))
-                self.runs = []
+                self.report(False)
             if _readable(self.alive_fd):  # side 0 never writes: its end is closed
                 raise _Stop
             return now
@@ -711,11 +716,17 @@ class _Split:
                 os.close(reports_r)
                 os.close(alive_w)
                 self.side, self.task, self.run, self.runs = 1, 0, None, []
+                self.patterns, self.witnesses = [], array("q")
                 self.deadline, self.wake = math.inf, 0.0
                 self.reports_fd, self.alive_fd = reports_w, alive_r
                 _helper(self)
             finally:
                 os._exit(0)
+        try:  # an enumeration's reports, about 130 KB each, would fill a default pipe
+            import fcntl  # not on every platform, so imported only here
+            fcntl.fcntl(reports_r, fcntl.F_SETPIPE_SZ, 1 << 20)
+        except (ImportError, OSError):
+            pass
         self.pid, self.reports_fd, self.alive_fd = pid, reports_r, alive_w
         self.reported = self.first + 1
         os.close(reports_w)
@@ -725,39 +736,36 @@ class _Split:
         """Take in every report the helper has sent so far."""
         try:
             while not self.done and _readable(self.reports_fd):
-                runs, self.reported, final = _receive(self.reports_fd)
-                self.theirs += runs
-                if final is not None:
-                    patterns, users = final
-                    self.sent = patterns, array("q", users)
-                    self.done = True
+                runs, self.reported, self.done = _receive(self.reports_fd)
+                self.runs += runs
+                for t, _, _, patterns, _ in runs:
                     if len(patterns) == self.limit:
-                        self.found = self.theirs[-1][0]
+                        self.found = t
         except EOFError:
             self.lost = True
 
     def merge(
-        self, patterns: list, witnesses: array, stats: SearchStats, timed_out: bool
+        self, stats: SearchStats, timed_out: bool
     ) -> tuple[list[tuple[int, ...]], array, SearchStats, bool] | None:
         """The one-process outcome from both sides' runs, for side 0's walk.
 
         Waits, up to the deadline, until the outcome is settled: the
         helper has reported every task before the first solution, or
         every task of a walk with no limit.  One pass over both sides'
-        runs in task order then takes each run's patterns and witnesses
-        from its side's lists and adds up its counters, up to the
-        ``limit``-th pattern.  If the deadline passes first, the patterns
-        end before the first run that is missing, that holds patterns
-        the helper has not sent, or that begins past the task this walk
-        timed out in: a prefix of the one-process list.  The counters
-        then add up every run either side reported.  Returns None if
-        the helper ended without reporting what the outcome needs.
+        runs in task order then joins their patterns and witnesses and
+        adds up their counters, up to the ``limit``-th pattern.  If the
+        deadline passes first, the patterns end before the first run not
+        yet reported or past the task this walk timed out in: a prefix
+        of the one-process list.  The counters then add up every run
+        either side reported.  Returns None if the helper ended without
+        reporting what the outcome needs.
         """
-        self.end_run(_counts(stats))
-        # The task in which this walk met the limit, and the one it timed
-        # out in, having walked every task before.
-        own = self.task - 1 if len(patterns) == self.limit else math.inf
+        # The task in which this walk met the limit, read before end_run
+        # moves its patterns into the run, and the one it timed out in,
+        # having walked every task before.
+        own = self.task - 1 if len(self.patterns) == self.limit else math.inf
         walked = self.task - 1 if timed_out else math.inf
+        self.end_run(_counts(stats))
         while True:
             self.receive()
             end = min(own, self.found)
@@ -771,26 +779,19 @@ class _Split:
                 timed_out = True
             else:
                 _readable(self.reports_fd, None if wait == math.inf else wait)
-        k = self.instance.step_count
-        sources = (patterns, witnesses), self.sent
-        runs = sorted(self.runs + self.theirs)
+        runs = sorted(self.runs)
         merged, users = [], array("q")
-        given = [0, 0]  # the patterns taken from each side's list
         prev = 1  # the side of the run before: task -1 opens side 0's first run
-        for i, (t, side, counts) in enumerate(runs):
-            n = counts[_YIELDED]
-            if t > walked or side == prev or n and side and not self.done:
+        for i, (t, side, _, patterns, witnesses) in enumerate(runs):
+            if t > walked or side == prev:
                 break  # a timeout's prefix ends here
-            source, source_users = sources[side]
-            g = given[side]
-            merged += source[g : g + n]
-            users += source_users[g * k : (g + n) * k]
-            given[side] = g + n
+            merged += patterns
+            users.frombytes(witnesses)
             prev = side
             if len(merged) == self.limit:  # the one-process walk ends here
                 del runs[i + 1 :]
                 break
-        _set_counts(stats, [sum(c) for c in zip(*[counts for _, _, counts in runs])])
+        _set_counts(stats, [sum(c) for c in zip(*[run[2] for run in runs])])
         stats.processes = 2
         return merged, users, stats, timed_out and not settled
 
@@ -805,13 +806,11 @@ class _Split:
 
 
 def _helper(split: _Split) -> None:
-    """The helper's walk, reported to ``split.reports_fd``, then a wait
-    until side 0 closes ``split.alive_fd``'s other end."""
-    patterns, users, stats, _ = _walk(
-        SearchState(split.instance), None, split.prune, split.limit, split
-    )
+    """The helper's walk, its runs reported to ``split.reports_fd`` as they
+    finish, then a wait until side 0 closes ``split.alive_fd``'s other end."""
+    stats = _walk(SearchState(split.instance), None, split.prune, split.limit, split)[2]
     split.end_run(_counts(stats))
-    _send(split.reports_fd, (split.runs, split.finished(), (patterns, users.tobytes())))
+    split.report(True)
     _readable(split.alive_fd, None)
 
 
@@ -834,11 +833,11 @@ def _walk(
 
     Returns the patterns found, their witnesses as one flat array of
     users (k per pattern, in step order), the stats and whether the
-    walk timed out.
+    walk timed out.  With ``split`` these are the split's lists, which
+    hold the patterns of its open run.
     """
     stats = SearchStats()
-    patterns: list[tuple[int, ...]] = []
-    witnesses = array("q")
+    patterns, witnesses = (split.patterns, split.witnesses) if split else ([], array("q"))
     timed_out = False
     search = _search(state, deadline, prune, stats, split)
     try:
@@ -878,7 +877,7 @@ def _drive(
         try:
             result = _walk(state, deadline, prune, limit, split)
             if split.pid:
-                result = split.merge(*result)
+                result = split.merge(*result[2:])
                 if result is None:
                     split.close()
                     result = _walk(SearchState(instance), deadline, prune, limit, None)
@@ -982,12 +981,12 @@ def solve_enumerating(
     occurrence in step order) with one witness plan per pattern, stored
     as k users and built into a ``dict`` when read.
 
-    The search splits as ``solve``'s does.  The helper sends its
-    patterns and witnesses when its walk ends, and they are merged in
-    depth-first order, so the patterns, their order, the plans and every
-    counter are those of the one-process search.  A timed-out
-    enumeration returns a prefix of that list, cut where the helper's
-    patterns had not arrived, every witness valid; its counters add up
+    The search splits as ``solve``'s does.  The helper reports its runs
+    of tasks, each with its patterns and witnesses, as it walks, and the
+    runs are merged in depth-first order, so the patterns, their order,
+    the plans and every counter are those of the one-process search.  A
+    timed-out enumeration returns a prefix of that list, ending at the
+    first run not yet reported, every witness valid; its counters add up
     all the work either process reported.
     """
     patterns, users, stats, timed_out = _drive(instance, time_limit, prune, None)

@@ -1063,7 +1063,7 @@ def test_no_helper_outlives_an_enumeration():
 @pytest.mark.parametrize("depth", [4, 6, 8])
 def test_a_timed_out_split_enumeration_is_a_prefix_of_the_walk(depth):
     # The deeper the tasks, the more of them the helper has reported,
-    # patterns not yet sent, when the deadline passes.
+    # each run with its patterns, when the deadline passes.
     case = ENUM_SPLIT_CASES[4]
     inst = enum_case(*case)
     want = one_process_enumeration(case)
