@@ -67,9 +67,9 @@ helper process and shares its remaining subtrees with it, as in
 parallel depth-first search after Rao and Kumar.  Both processes run
 the same ``_Split``: each records its counters and patterns per run of
 the tasks it owns, and one pass over both processes' runs in
-depth-first order merges them, so the outcome, the witnesses, the order of an
-enumeration's patterns and every search counter are those of the
-one-process walk.
+depth-first order merges them, so the outcome, the witnesses, the
+order of an enumeration's patterns and every search counter are those
+of the one-process walk.
 """
 
 from __future__ import annotations
