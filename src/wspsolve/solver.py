@@ -64,9 +64,11 @@ compares copying with trailing for constraint programming).
 
 A search that is still running after ``SPLIT_AFTER`` seconds forks one
 helper process and shares its remaining subtrees with it, as in
-parallel depth-first search after Rao and Kumar.  Both processes run
-the same ``_Split``: each records its counters and patterns per run of
-the tasks it owns, and one pass over both processes' runs in
+parallel depth-first search after Rao and Kumar: each process, done
+with its subtree, claims the next unclaimed one from a counter the two
+share, so neither idles while the other has work left.  Both processes
+run the same ``_Split``: each records its counters and patterns per run
+of the tasks it owns, and one pass over both processes' runs in
 depth-first order merges them, so the outcome, the witnesses, the
 order of an enumeration's patterns and every search counter are those
 of the one-process walk.
@@ -129,10 +131,10 @@ _TIMEOUT_MASK = TIMEOUT_CHECK_INTERVAL - 1
 _ASSIGNED = -math.inf
 
 
-#: A decision search forks its helper once it has run this many seconds,
-#: about ten times what forking and reaping a process costs, so that a
+#: A search forks its helper once it has run this many seconds, about
+#: five times what forking and reaping a process costs, so that a
 #: search shorter than this never pays for one.
-SPLIT_AFTER = 0.05
+SPLIT_AFTER = 0.01
 
 #: The depth whose label attempts are the tasks the two processes share:
 #: deep enough that tasks are many and small, shallow enough that each
@@ -588,11 +590,14 @@ class _Split:
     depth-first order.  Until the fork side 0 owns every task.  It forks
     at the first deadline check after ``SPLIT_AFTER`` seconds, if
     ``_may_fork`` allows, and keeps the task in progress, ``first``, and
-    every one before it; of the later ones the helper owns every other
-    one, from the next on (``owner``).  The helper walks
-    from the empty pattern.  Each side skips the other's tasks before
-    counting anything for them, and a skipped task leaves the search
-    state as a walked one would, so both walk the depths above alike.
+    every one before it.  Each later task goes to the side that claims
+    it: a side reaching a task past the ones it holds takes the next
+    unclaimed one from a counter the two share (``claim``), and skips
+    the tasks before that one, which the other side has claimed.  The
+    helper walks from the empty pattern.  Each side skips the other's
+    tasks before counting anything for them, and a skipped task leaves
+    the search state as a walked one would, so both walk the depths
+    above alike.
 
     A task covers its label attempt, the subtree below it and the walk
     above ``depth`` up to the next task's boundary; the walk before task
@@ -626,6 +631,7 @@ class _Split:
         self.side = 0
         self.first = math.inf  # the last task begun before the fork
         self.task = 0  # the tasks begun so far
+        self.start, self.last = 0, math.inf  # the first and last task this side holds
         self.runs: list[tuple] = []  # this side's not yet sent; on side 0 the helper's too
         # The open run, (its first task, the counters there), or None, and
         # the patterns and witnesses the walk has found since it opened.
@@ -633,16 +639,14 @@ class _Split:
         self.patterns: list[tuple[int, ...]] = []
         self.witnesses = array("q")
         self.pid = 0  # the helper's, while it runs
-        # The pipes' ends: side 0 reads reports and holds the helper alive.
+        # The pipes' ends: side 0 reads reports and holds the helper alive;
+        # both sides read and write the counter's pipe.
         self.reports_fd = self.alive_fd = -1
+        self.claim_fds = (-1, -1)
         self.reported = 0  # the helper has reported every task of its before this one
         self.found = math.inf  # the task where the helper's walk met the limit
         self.done = False  # the helper has sent its last report
         self.lost = False  # the helper ended before that
-
-    def owner(self, t: int) -> int:
-        """The side that owns task ``t``."""
-        return 0 if t <= self.first else (t - self.first) & 1
 
     def boundary(self, counts: tuple[int, ...]) -> bool:
         """Take the task of this label attempt?  Raises _Stop past a solved one."""
@@ -650,12 +654,41 @@ class _Split:
         self.task = t + 1
         if t >= self.found:
             raise _Stop
-        mine = self.owner(t) == self.side
+        if t > self.last:
+            self.start, self.last = self.claim()
+        mine = t >= self.start
         if not mine:
             self.end_run(counts)
         elif self.run is None:
             self.run = t, counts
         return mine
+
+    def claim(self) -> tuple[int, int]:
+        """The first and last task this side holds next: the first one no
+        side has claimed, past which it leaves the counter."""
+        t = self.take()
+        os.write(self.claim_fds[1], (t + 1).to_bytes(8, "little"))
+        return t, t
+
+    def take(self) -> int:
+        """Read the counter, 8 bytes, out of its pipe, waiting while the
+        other side holds it; raises _Stop if that side ends meanwhile."""
+        counter = self.claim_fds[0]
+        other = self.alive_fd if self.side else self.reports_fd
+        while True:
+            try:
+                return int.from_bytes(os.read(counter, 8), "little")
+            except BlockingIOError:
+                pass
+            # A helper whose walk has ended holds no counter, and its
+            # reports pipe stays readable once it exits.
+            ready = select.select([counter] if self.done else [counter, other], [], [])[0]
+            if other in ready:
+                if self.side:
+                    raise _Stop
+                self.receive()
+                if self.lost:
+                    raise _Stop
 
     def finished(self) -> int:
         """Every task before this one that this side owns is in a finished run."""
@@ -698,17 +731,22 @@ class _Split:
         return now if self.pid else self.deadline
 
     def _fork(self) -> None:
+        first = self.task - 1
         fds: list[int] = []
         try:
-            fds += os.pipe()
-            fds += os.pipe()
+            for _ in range(3):
+                fds += os.pipe()
+            # A claim waits in select, where it sees the other side end,
+            # never in a read of the counter.
+            os.set_blocking(fds[4], False)
+            os.write(fds[5], (first + 1).to_bytes(8, "little"))
             pid = os.fork()
         except OSError:  # no pipe or process to be had: this one searches alone
             for fd in fds:
                 os.close(fd)
             return
-        reports_r, reports_w, alive_r, alive_w = fds
-        self.first = self.task - 1
+        reports_r, reports_w, alive_r, alive_w, *claim_fds = fds
+        self.first, self.last, self.claim_fds = first, first, tuple(claim_fds)
         if pid == 0:
             # The helper never returns into the caller's code, so flushes
             # no stdio buffer and runs no exit handler of the caller's.
@@ -716,6 +754,7 @@ class _Split:
                 os.close(reports_r)
                 os.close(alive_w)
                 self.side, self.task, self.run, self.runs = 1, 0, None, []
+                self.last = -1  # it holds no task, so claims at its first
                 self.patterns, self.witnesses = [], array("q")
                 self.deadline, self.wake = math.inf, 0.0
                 self.reports_fd, self.alive_fd = reports_w, alive_r
@@ -800,8 +839,8 @@ class _Split:
         if self.pid:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
-            os.close(self.reports_fd)
-            os.close(self.alive_fd)
+            for fd in (self.reports_fd, self.alive_fd, *self.claim_fds):
+                os.close(fd)
             self.pid = 0
 
 

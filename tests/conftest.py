@@ -37,11 +37,30 @@ def assert_no_child_process() -> None:
     pytest.fail(f"a child process is left: {f'pid {pid}, exited' if pid else 'still running'}")
 
 
+def open_fds() -> dict[int, str] | None:
+    """This process's open file descriptors and what each refers to, or
+    None without ``/proc`` to read them from."""
+    try:
+        names = os.listdir("/proc/self/fd")
+    except OSError:
+        return None
+    fds = {}
+    for name in names:
+        try:
+            fds[int(name)] = os.readlink(f"/proc/self/fd/{name}")
+        except OSError:  # the listing's own descriptor, closed by now
+            pass
+    return fds
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    # A split search forks a helper, which must never outlive the solve.
+    # A split search forks a helper, which must never outlive the solve,
+    # and opens pipes to it, which the solve must close on every path.
+    fds = open_fds()
     yield
     assert_no_child_process()
+    assert open_fds() == fds
 
 
 # One fully worked 4-step, 5-user instance used across the suite: the

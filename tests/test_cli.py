@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import signal
@@ -560,6 +561,53 @@ def child_pids(pid: int) -> list[int]:
         if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
             found.append(int(entry))
     return found
+
+
+def running(pid: int) -> bool:
+    """Is ``pid`` a process that has not exited (neither gone nor a zombie)?"""
+    try:
+        stat = Path("/proc", str(pid), "stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc to see the helper")
+def test_a_helper_exits_when_its_parent_is_killed(tmp_path):
+    # A decision of a few seconds, split (on a machine with two CPUs),
+    # then SIGKILL to the parent alone: the helper, walking or waiting to
+    # claim a task, sees the parent's end of their pipe close and exits.
+    path = tmp_path / "k40.wsp"
+    path.write_text(serialize_instance(generate(GeneratorConfig(40, density_to_e(40, 10), 40, 0))))
+    src = str(Path(wspsolve.__file__).parents[1])
+    pythonpath = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + pythonpath if pythonpath else "")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wspsolve", "solve", str(path)],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        wait = time.monotonic() + 5
+        while time.monotonic() < wait and not child_pids(proc.pid):
+            time.sleep(0.01)
+        helpers = child_pids(proc.pid)
+        if not helpers:
+            pytest.skip("the search did not split (one CPU?)")
+        time.sleep(0.2)
+        assert proc.poll() is None
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=60)
+        wait = time.monotonic() + 5
+        while time.monotonic() < wait and any(map(running, helpers)):
+            time.sleep(0.05)
+        assert not any(map(running, helpers))
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc to see the helper")

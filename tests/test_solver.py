@@ -9,6 +9,7 @@ import functools
 import itertools
 import operator
 import os
+import random
 import signal
 import threading
 import time
@@ -812,6 +813,29 @@ def forced_split(depth):
         yield mp
 
 
+def parity_claim(split):
+    """A fixed schedule for ``_Split.claim``: of the tasks after the fork's,
+    the helper holds every other one, from the next on."""
+    t = max(split.task - 1, split.first + 1)
+    if (t - split.first) & 1 != split.side:
+        t += 1
+    return t, t
+
+
+def striding_claims(seed):
+    """A ``_Split.claim`` that takes 1 to 4 tasks at once off the shared
+    counter, each side drawing its counts from its own generator."""
+    strides = [random.Random(2 * seed + side) for side in (0, 1)]
+
+    def claim(split):
+        t = split.take()
+        n = strides[split.side].randint(1, 4)
+        os.write(split.claim_fds[1], (t + n).to_bytes(8, "little"))
+        return t, t + n - 1
+
+    return claim
+
+
 @given(case=st.sampled_from(SPLIT_CASES), depth=st.integers(0, 30))
 @settings(max_examples=30)
 def test_split_search_is_the_one_process_walk(case, depth):
@@ -819,6 +843,28 @@ def test_split_search_is_the_one_process_walk(case, depth):
     inst = split_case(*case)
     want = one_process(inst)
     with forced_split(depth):
+        got = solve(inst)
+    assert got.stats.processes == 2
+    assert (got.status, got.plan, search_counters(got)) == (
+        want.status,
+        want.plan,
+        search_counters(want),
+    )
+
+
+@given(
+    case=st.sampled_from(SPLIT_CASES),
+    depth=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=20)
+def test_any_claim_schedule_gives_the_one_process_walk(case, depth, seed):
+    # However the two sides' claims interleave, and however many tasks
+    # each takes at once, every task has one owner and the runs alternate.
+    inst = split_case(*case)
+    want = one_process(inst)
+    with forced_split(depth) as mp:
+        mp.setattr(solver._Split, "claim", striding_claims(seed))
         got = solve(inst)
     assert got.stats.processes == 2
     assert (got.status, got.plan, search_counters(got)) == (
@@ -855,6 +901,7 @@ def test_no_helper_outlives_a_sat_answer(case, depth, parent_found):
 
     with forced_split(depth) as mp:
         mp.setattr(solver, "_search", recording)
+        mp.setattr(solver._Split, "claim", parity_claim)  # who finds the solution
         got = solve(inst)
     assert_no_child_process()
     assert (got.status, got.plan) == (SAT, want.plan)
@@ -956,6 +1003,41 @@ def test_a_helper_lost_after_reporting_leaves_the_one_process_answer(case, n, ca
     assert capfd.readouterr().err == ""
 
 
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_a_helper_lost_holding_the_counter_leaves_the_one_process_answer(case, capfd):
+    # The helper takes the counter at its first claim and never puts it
+    # back, so side 0's next claim waits until the helper's reports end.
+    inst = split_case(*case)
+    want = one_process(inst)
+    claim = solver._Split.claim
+
+    def lost_holding(split):
+        if split.side:
+            split.take()
+            os._exit(1)
+        return claim(split)
+
+    def hung(*args):
+        raise AssertionError("the search waits on a lost helper")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 30)
+    try:
+        with forced_split(4) as mp:
+            mp.setattr(solver._Split, "claim", lost_holding)
+            got = solve(inst)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert_no_child_process()
+    assert (got.status, got.plan, search_counters(got)) == (
+        want.status,
+        want.plan,
+        search_counters(want),
+    )
+    assert capfd.readouterr().err == ""
+
+
 def test_a_split_search_timed_out_past_a_settled_solution_is_sat():
     # The parent reads nothing at its first check after the fork, so it
     # walks past the task of the helper's solution; at the next it takes
@@ -980,6 +1062,7 @@ def test_a_split_search_timed_out_past_a_settled_solution_is_sat():
 
     with forced_split(4) as mp:
         mp.setattr(solver._Split, "tick", late)
+        mp.setattr(solver._Split, "claim", parity_claim)  # the helper finds the solution
         got = solve(inst)
     assert passed == [True]
     assert (got.status, got.plan, got.stats.processes) == (SAT, want.plan, 2)
@@ -1048,6 +1131,22 @@ def test_split_enumeration_is_the_one_process_walk(case, data):
     depth = data.draw(st.integers(0, case[0]), label="depth")
     want = one_process_enumeration(case)
     with forced_split(depth):
+        got = solve_enumerating(enum_case(*case), prune=case[-1])
+    assert (got.stats.processes, got.timed_out) == (2, False)
+    assert_same_enumeration(got, want)
+
+
+@given(
+    case=st.sampled_from(ENUM_SPLIT_CASES),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=16)
+def test_any_claim_schedule_gives_the_one_process_enumeration(case, data, seed):
+    depth = data.draw(st.integers(0, case[0]), label="depth")
+    want = one_process_enumeration(case)
+    with forced_split(depth) as mp:
+        mp.setattr(solver._Split, "claim", striding_claims(seed))
         got = solve_enumerating(enum_case(*case), prune=case[-1])
     assert (got.stats.processes, got.timed_out) == (2, False)
     assert_same_enumeration(got, want)
