@@ -944,9 +944,10 @@ def solve(
     i.e. free of binding-of-duty constraints.
 
     A search still running after ``SPLIT_AFTER`` seconds forks one
-    helper process to search part of the tree, on Linux with at least
-    two CPUs, from a single-threaded process that is not a
-    ``multiprocessing`` worker.  The outcome, the witness and every
+    helper process, on Linux with at least two CPUs, from a
+    single-threaded process that is not a ``multiprocessing`` worker;
+    the two claim the subtrees below a fixed depth one at a time from a
+    counter they share.  The outcome, the witness and every
     counter are those of the one-process search; only
     ``stats.processes`` and the times tell.  The fork is otherwise
     visible to the caller: its ``os.register_at_fork`` hooks run,

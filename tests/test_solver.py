@@ -1191,7 +1191,7 @@ def test_a_timed_out_split_enumeration_keeps_the_helpers_reported_patterns():
 
     with forced_split(solver.SPLIT_DEPTH) as mp:
         mp.setattr(solver, "_search", recording)
-        got = solve_enumerating(inst, time_limit=0.5)
+        got = solve_enumerating(inst, time_limit=0.25)
     assert (got.timed_out, got.stats.processes) == (True, 2)
     assert got.patterns == want.patterns[: got.count]
     assert len(set(got.patterns) - found) > 0  # some are the helper's
