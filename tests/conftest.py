@@ -15,6 +15,7 @@ from wspsolve import (
     AuthorisationLists,
     BindingOfDuty,
     NotEquals,
+    SearchState,
     Valid,
     WorkflowInstance,
     parse_instance,
@@ -85,6 +86,14 @@ GOLDEN_PLAN = {0: 0, 1: 0, 2: 3, 3: 4}
 @pytest.fixture
 def golden_instance() -> WorkflowInstance:
     return parse_instance(GOLDEN_TEXT)
+
+
+def search_state(masks) -> SearchState:
+    """A search state over one authorisation mask per step and no constraints."""
+    n = max([1, *(m.bit_length() for m in masks)])
+    return SearchState(
+        WorkflowInstance(len(masks), n, AuthorisationLists(n, tuple(masks)), ())
+    )
 
 
 # --- independent reference computations ------------------------------------

@@ -328,6 +328,13 @@ def test_masks_match_raw_user_lists(data):
             AuthorisationLists(n, tuple(masks))
 
 
+def test_instance_needs_a_step_and_a_user():
+    with pytest.raises(ValueError, match=r"^need at least one step and one user$"):
+        WorkflowInstance(0, 1, AuthorisationLists(1, ()), ())
+    with pytest.raises(ValueError, match=r"^need at least one step and one user$"):
+        WorkflowInstance(1, 0, AuthorisationLists(0, (0,)), ())
+
+
 def test_authorisation_rejects_out_of_range():
     with pytest.raises(ValueError):
         AuthorisationLists.from_user_steps(2, [{0, 5}])
