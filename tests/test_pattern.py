@@ -94,7 +94,7 @@ def test_encode_groups_plans_by_sharing_structure():
 # --- the search state's partial pattern ------------------------------------
 
 
-def test_search_state_extend_retract_lifecycle():
+def test_pattern_extend_retract_lifecycle():
     state = search_state([1] * 4)
     state.extend(2, 1)
     state.extend(0, 2)
@@ -115,7 +115,7 @@ def test_search_state_extend_retract_lifecycle():
         state.retract()
 
 
-def test_search_state_rejects_bad_moves():
+def test_pattern_rejects_bad_moves():
     state = search_state([1] * 3)
     state.extend(0, 1)
     with pytest.raises(ValueError):
@@ -133,7 +133,7 @@ def mask_of(users: set[int]) -> int:
     return sum(1 << u for u in users)
 
 
-def test_search_state_intersection_cache(golden_instance):
+def test_pattern_intersection_cache(golden_instance):
     masks = golden_instance.auth.step_user_masks
     state = search_state(masks)
     state.extend(0, 1)
@@ -149,7 +149,7 @@ def test_search_state_intersection_cache(golden_instance):
 
 
 @given(st.data())
-def test_search_state_tracks_encode_under_random_walks(data):
+def test_pattern_tracks_encode_under_random_walks(data):
     """extend/retract stay consistent with re-encoding from scratch."""
     k = data.draw(st.integers(min_value=1, max_value=6))
     masks = [data.draw(st.integers(min_value=0, max_value=2**5 - 1)) for _ in range(k)]
