@@ -35,7 +35,7 @@ from .model import (
     validate_plan,
 )
 from .oracle import BudgetExceededError, OracleResult, oracle_solve
-from .pattern import canonicalize, encode
+from .pattern import Pattern, canonicalize, encode
 from .solver import EnumerationOutcome, SearchState, solve, solve_enumerating
 
 __version__ = "0.1.0"
@@ -53,6 +53,7 @@ __all__ = [
     "NotEquals",
     "OracleResult",
     "ParseError",
+    "Pattern",
     "Plan",
     "PlanVerdict",
     "PreprocessResult",

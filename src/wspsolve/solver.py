@@ -58,14 +58,9 @@ each step, as it is found.  ``solve_enumerating`` keeps every witness as
 k user ids in one flat array and builds a plan ``dict`` only when a
 caller reads it from ``EnumerationOutcome.plans``.
 
-The search position is one ``SearchState``: the partial pattern (each
-step's label, each block's users and the highest label) and the flat
-per-constraint state.  The pattern is written in place and undone from
-one trail, which also holds the per-constraint lists as they were:
-those, like the held matching, are copied on each change rather than
-logged entry by entry (Schulte compares copying with trailing for
-constraint programming).  One call extends the position and one
-retracts it.
+Per-constraint state is flat (see ``SearchState``) and, like the held
+matching, copied on each change rather than logged for undo (Schulte
+compares copying with trailing for constraint programming).
 
 A search that is still running after ``SPLIT_AFTER`` seconds forks one
 helper process and shares its remaining subtrees with it, as in
@@ -105,7 +100,7 @@ from .model import (
     SolveOutcome,
     WorkflowInstance,
 )
-from .pattern import canonicalize
+from .pattern import Pattern, canonicalize
 
 
 #: Step-selection weights of an at-most constraint, indexed by its room:
@@ -172,15 +167,7 @@ def _timeout() -> float:
 
 
 class SearchState:
-    """Mutable search position: a partial pattern and incremental constraint counters.
-
-    ``entries[s]`` is the label of step s, 0 while it is unassigned.
-    Labels are kept canonical with respect to the order in which steps
-    were assigned: the first block opened is 1, the next 2, and so on,
-    up to ``max_label``, so an extension may reuse any existing label or
-    open exactly one fresh block, ``max_label + 1``.  ``block_masks[x]``
-    (index 0 unused) is the intersection of the authorised-user masks
-    of the steps labelled x: the users who may perform the whole block.
+    """Mutable search position: pattern plus incremental constraint counters.
 
     For every counting constraint ``ci`` the state tracks, in flat lists,
     ``ct_labels[ci]`` (bit x set when some scope step has label x) and
@@ -193,20 +180,14 @@ class SearchState:
     at-most weights, or -inf once s is assigned.
 
     ``domain[s]`` is the bitmask of the labels unassigned step s may
-    still take.  Every bit above ``max_label`` is alike, so the bit of
-    the fresh label says whether s may open a block.  Along a branch a
-    domain only shrinks: an extension clears its label from the
-    not-equals neighbours, and once a scope has no room left it narrows
-    the scope's steps to the labels that spend none.
-
-    ``extend`` writes the step's entry and its block's mask in place and
-    writes copies of the four lists above (of the counting lists only
-    for a step in a counting scope, as nothing else writes them).  It
-    pushes one frame onto the trail: the four lists as they were, a
-    bitmask of the narrowed steps, the step, its label, the block's
-    previous mask and the previous ``max_label``.  ``retract`` pops the
-    frame and restores all of it, so memory stays O(steps * users) plus
-    a trail of at most k frames.
+    still take.  Every bit above ``pattern.max_label`` is alike, so the
+    bit of the fresh label says whether s may open a block.  Along a
+    branch a domain only shrinks: an extension clears its label from
+    the not-equals neighbours, and once a scope has no room left it
+    narrows the scope's steps to the labels that spend none.  Extending
+    pushes these four lists and a bitmask of the narrowed steps onto the
+    trail and writes copies (of the counting lists only for a step in a
+    counting scope, as nothing else writes them); retract rebinds them.
     """
 
     def __init__(self, instance: WorkflowInstance):
@@ -219,9 +200,7 @@ class SearchState:
         self.auth = instance.auth.step_user_masks
         k = instance.step_count
         self.step_count = k
-        self.entries = [0] * k
-        self.block_masks = [0] * (k + 1)
-        self.max_label = 0
+        self.pattern = Pattern(k, self.auth)
 
         # Scores start at each step's not-equals count plus the at-most
         # weights of the empty pattern (small whole numbers, so the float
@@ -264,7 +243,7 @@ class SearchState:
         # negative, and a scope with none (at-least r = |scope|) uses no
         # label yet, so it excludes none.
         self.domain = [-2] * k
-        self._trail: list[tuple] = []
+        self._trail: list[tuple[list[float], list[int], list[int], list[int], int]] = []
 
     # -- heuristic ----------------------------------------------------------
 
@@ -279,21 +258,9 @@ class SearchState:
     # -- pattern mutation with counter upkeep -------------------------------
 
     def extend(self, step: int, label: int) -> None:
-        """Assign ``label``, an existing block or the fresh one, to unassigned ``step``."""
-        entries = self.entries
-        if entries[step]:
-            raise ValueError(f"step {step} already assigned")
-        top = self.max_label
-        if not 1 <= label <= top + 1:
-            raise ValueError(f"label {label} out of range 1..{top + 1}")
-        entries[step] = label
-        block_masks = self.block_masks
-        mask = block_masks[label]
-        if label > top:
-            self.max_label = label
-            block_masks[label] = self.auth[step]
-        else:
-            block_masks[label] = mask & self.auth[step]
+        pattern = self.pattern
+        pattern.extend(step, label)
+        entries = pattern.entries
         frame = self.score, self.domain, self.ct_labels, self.ct_room
         self.score = score = frame[0][:]
         self.domain = domain = frame[1][:]
@@ -341,18 +308,11 @@ class SearchState:
                         if d & keep != d and not entries[q]:
                             domain[q] = d & keep
                             narrowed |= 1 << q
-        self._trail.append((*frame, narrowed, step, label, mask, top))
+        self._trail.append((*frame, narrowed))
 
     def retract(self) -> None:
-        """Undo the most recent extend."""
-        try:
-            frame = self._trail.pop()
-        except IndexError:
-            raise ValueError("nothing to retract") from None
-        (self.score, self.domain, self.ct_labels, self.ct_room, _,
-         step, label, mask, self.max_label) = frame
-        self.entries[step] = 0
-        self.block_masks[label] = mask
+        self.score, self.domain, self.ct_labels, self.ct_room, _ = self._trail.pop()
+        self.pattern.retract()
 
     # -- extension viability -----------------------------------------------
 
@@ -368,7 +328,7 @@ class SearchState:
             return False
         generic = self.gen_by_step[step]
         if generic:
-            entries = self.entries
+            entries = self.pattern.entries
             entries[step] = label
             try:
                 for c in generic:
@@ -394,7 +354,7 @@ class SearchState:
                 return True
             narrowed ^= low
         room = self.ct_room
-        entries = self.entries
+        entries = self.pattern.entries
         for ci, scope in self._at_most[step]:
             if not room[ci]:
                 for q in scope:
@@ -406,12 +366,13 @@ class SearchState:
 
     def _labelless(self, step: int) -> bool:
         """Does no label in the domain give unassigned ``step`` an authorised user?"""
+        pattern = self.pattern
         mask = self.domain[step]
-        if mask >> (self.max_label + 1) & 1:
+        if mask >> (pattern.max_label + 1) & 1:
             return False  # the fresh label
         # Without the fresh bit no higher bit is set either.
         auth = self.auth[step]
-        block_masks = self.block_masks
+        block_masks = pattern.block_masks
         while mask:
             low = mask & -mask
             if block_masks[low.bit_length() - 1] & auth:
@@ -441,11 +402,12 @@ def _search(
     label (the other process's task) or raise _Stop, and the deadline
     checks call ``split.tick`` for the next time to call it.
     """
+    pattern = state.pattern
     k = state.step_count
     constraints = state.instance.constraints
     auth = state.auth
-    entries = state.entries
-    block_masks = state.block_masks
+    entries = pattern.entries
+    block_masks = pattern.block_masks
     extend = state.extend
     retract = state.retract
     select_step = state.select_step
@@ -480,7 +442,7 @@ def _search(
         steps[0] = select_step()
         while depth >= 0:
             x = next_label[depth]
-            top = state.max_label + 1
+            top = pattern.max_label + 1
             if x > top:
                 depth -= 1
                 if depth >= 0:

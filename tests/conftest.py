@@ -15,7 +15,6 @@ from wspsolve import (
     AuthorisationLists,
     BindingOfDuty,
     NotEquals,
-    SearchState,
     Valid,
     WorkflowInstance,
     parse_instance,
@@ -86,14 +85,6 @@ GOLDEN_PLAN = {0: 0, 1: 0, 2: 3, 3: 4}
 @pytest.fixture
 def golden_instance() -> WorkflowInstance:
     return parse_instance(GOLDEN_TEXT)
-
-
-def search_state(masks) -> SearchState:
-    """A search state over one authorisation mask per step and no constraints."""
-    n = max([1, *(m.bit_length() for m in masks)])
-    return SearchState(
-        WorkflowInstance(len(masks), n, AuthorisationLists(n, tuple(masks)), ())
-    )
 
 
 # --- independent reference computations ------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import constraints_for
 from wspsolve import AtLeast, AtMost, BindingOfDuty, Never, NotEquals
-from wspsolve.pattern import encode
+from wspsolve.pattern import Pattern, encode
 
 
 def test_invalid_construction_rejected():
@@ -136,16 +136,17 @@ def test_check_partial_monotone_under_extension(data):
     """Once dead, a pattern stays dead along any chain of extensions."""
     k = data.draw(st.integers(2, 5))
     c = data.draw(constraints_for(k).filter(lambda c: not isinstance(c, BindingOfDuty)))
-    entries = [0] * k
+    pat = Pattern(k, [1] * k)
     dead_seen = False
     order = data.draw(st.permutations(range(k)))
     for s in order:
-        entries[s] = data.draw(st.integers(1, max(entries) + 1))
-        ok = c.check_partial(entries)
+        label = data.draw(st.integers(1, pat.max_label + 1))
+        pat.extend(s, label)
+        ok = c.check_partial(pat.entries)
         if dead_seen:
             assert not ok
         dead_seen = dead_seen or not ok
-    assert c.check_partial(entries) == c.satisfied_by(entries)
+    assert c.check_partial(pat.entries) == c.satisfied_by(pat.entries)
 
 
 @given(st.data())

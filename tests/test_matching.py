@@ -9,11 +9,10 @@ from conftest import (
     authorised_patterns,
     bell_numbers,
     reference_max_matching,
-    search_state,
 )
 from wspsolve import (
     AuthorisationLists,
-    SearchState,
+    Pattern,
     Valid,
     WorkflowInstance,
     encode,
@@ -24,16 +23,16 @@ from wspsolve import (
 from wspsolve.matching import augment
 
 
-def pattern_of(entries, masks) -> SearchState:
-    """Materialise a canonical pattern tuple as a search state's pattern."""
-    pat = search_state(masks)
+def pattern_of(entries, masks) -> Pattern:
+    """Materialise a canonical pattern tuple as a Pattern object."""
+    pat = Pattern(len(entries), masks)
     for s, x in enumerate(entries):
         if x:
             pat.extend(s, x)
     return pat
 
 
-def block_adjacency(pat: SearchState) -> list[int]:
+def block_adjacency(pat: Pattern) -> list[int]:
     """User bitmask of each block, block 1 first."""
     return pat.block_masks[1 : pat.max_label + 1]
 

@@ -1,4 +1,4 @@
-"""Pattern encoding and the search state's partial pattern."""
+"""Pattern encoding and the mutable search pattern."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import search_state
-from wspsolve import canonicalize, encode
+from wspsolve import Pattern, canonicalize, encode
 
 
 # --- encode / canonicalize --------------------------------------------------
@@ -91,42 +90,42 @@ def test_encode_groups_plans_by_sharing_structure():
             assert (encode(a, k) == encode(b, k)) == (structure(a) == structure(b))
 
 
-# --- the search state's partial pattern ------------------------------------
+# --- mutable pattern --------------------------------------------------------
 
 
 def test_pattern_extend_retract_lifecycle():
-    state = search_state([1] * 4)
-    state.extend(2, 1)
-    state.extend(0, 2)
-    state.extend(1, 2)
-    assert state.entries == [2, 2, 1, 0]
-    assert state.max_label == 2
-    state.extend(3, 3)
-    assert 0 not in state.entries
-    state.retract()
-    state.retract()
-    assert state.entries == [2, 0, 1, 0]
-    assert state.max_label == 2
-    state.retract()
-    assert state.entries == [0, 0, 1, 0]
-    assert state.max_label == 1
-    state.retract()
+    pat = Pattern(4, [1] * 4)
+    assert pat.assigned_count == 0
+    pat.extend(2, 1)
+    pat.extend(0, 2)
+    pat.extend(1, 2)
+    assert pat.entries == [2, 2, 1, 0]
+    assert pat.max_label == 2
+    pat.extend(3, 3)
+    assert pat.assigned_count == pat.step_count
+    pat.retract()
+    pat.retract()
+    assert pat.entries == [2, 0, 1, 0]
+    assert pat.max_label == 2
+    pat.retract()
+    assert pat.entries == [0, 0, 1, 0]
+    assert pat.max_label == 1
+    pat.retract()
     with pytest.raises(ValueError):
-        state.retract()
+        pat.retract()
 
 
 def test_pattern_rejects_bad_moves():
-    state = search_state([1] * 3)
-    state.extend(0, 1)
     with pytest.raises(ValueError):
-        state.extend(0, 1)  # already assigned
+        Pattern(0, [])
+    pat = Pattern(3, [1] * 3)
+    pat.extend(0, 1)
     with pytest.raises(ValueError):
-        state.extend(1, 3)  # skips label 2
+        pat.extend(0, 1)  # already assigned
     with pytest.raises(ValueError):
-        state.extend(1, 0)
-    # A rejected move leaves the state as it was.
-    assert state.entries == [1, 0, 0]
-    assert state.max_label == 1
+        pat.extend(1, 3)  # skips label 2
+    with pytest.raises(ValueError):
+        pat.extend(1, 0)
 
 
 def mask_of(users: set[int]) -> int:
@@ -135,17 +134,22 @@ def mask_of(users: set[int]) -> int:
 
 def test_pattern_intersection_cache(golden_instance):
     masks = golden_instance.auth.step_user_masks
-    state = search_state(masks)
-    state.extend(0, 1)
-    assert state.block_masks[1] == mask_of({0, 1})
-    state.extend(1, 1)
-    assert state.block_masks[1] == mask_of({0})
-    state.extend(2, 2)
-    assert state.block_masks[2] == mask_of({0, 3, 4})
-    state.retract()  # drop step 2 again
-    assert state.block_masks[1] == mask_of({0})
-    state.retract()  # drop step 1: block 1 recovers its wider user set
-    assert state.block_masks[1] == mask_of({0, 1})
+    pat = Pattern(4, masks)
+    pat.extend(0, 1)
+    assert pat.block_masks[1] == mask_of({0, 1})
+    pat.extend(1, 1)
+    assert pat.block_masks[1] == mask_of({0})
+    pat.extend(2, 2)
+    assert pat.block_masks[2] == mask_of({0, 3, 4})
+    # Peek must match what extend would produce, without mutating.
+    before = list(pat.entries)
+    assert pat.extension_user_mask(3, 2) == pat.block_masks[2] & masks[3]
+    assert pat.extension_user_mask(3, 3) == masks[3]
+    assert pat.entries == before
+    pat.retract()  # drop step 2 again
+    assert pat.block_masks[1] == mask_of({0})
+    pat.retract()  # drop step 1: block 1 recovers its wider user set
+    assert pat.block_masks[1] == mask_of({0, 1})
 
 
 @given(st.data())
@@ -153,32 +157,34 @@ def test_pattern_tracks_encode_under_random_walks(data):
     """extend/retract stay consistent with re-encoding from scratch."""
     k = data.draw(st.integers(min_value=1, max_value=6))
     masks = [data.draw(st.integers(min_value=0, max_value=2**5 - 1)) for _ in range(k)]
-    state = search_state(masks)
+    pat = Pattern(k, masks)
     plan: dict[int, int] = {}  # step -> block label, used as a fake user id
     history: list[int] = []
     for _ in range(data.draw(st.integers(min_value=0, max_value=12))):
         can_extend = len(plan) < k
         if history and (not can_extend or data.draw(st.booleans())):
-            state.retract()
+            pat.retract()
             del plan[history.pop()]
         elif can_extend:
             step = data.draw(
                 st.sampled_from([s for s in range(k) if s not in plan])
             )
-            label = data.draw(st.integers(min_value=1, max_value=state.max_label + 1))
-            state.extend(step, label)
+            label = data.draw(st.integers(min_value=1, max_value=pat.max_label + 1))
+            pat.extend(step, label)
             plan[step] = label
             history.append(step)
         else:
             continue
-        assert tuple(state.entries) == canonical_along(
+        assert tuple(pat.entries) == canonical_along(
             [plan.get(s, 0) for s in range(k)], history
         )
-        assert state.max_label == max(state.entries, default=0)
-        for lab in range(1, state.max_label + 1):
-            members = [s for s in range(k) if state.entries[s] == lab]
+        assert pat.assigned_count == len(plan)
+        assert pat.max_label == max(pat.entries, default=0)
+        for lab in range(1, pat.max_label + 1):
+            members = [s for s in range(k) if pat.entries[s] == lab]
             assert members
             expect = masks[members[0]]
             for s in members[1:]:
                 expect &= masks[s]
-            assert state.block_masks[lab] == expect
+            assert pat.block_masks[lab] == expect
+

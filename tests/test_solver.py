@@ -147,8 +147,8 @@ def test_select_step_requires_unassigned():
 
 
 def assert_eligibility_matches(state, inst, step):
-    for label in range(1, state.max_label + 2):
-        probe = list(state.entries)
+    for label in range(1, state.pattern.max_label + 2):
+        probe = list(state.pattern.entries)
         probe[step] = label
         expect = all(
             c.check_partial(probe) for c in inst.constraints if step in c.scope
@@ -194,9 +194,9 @@ def test_extension_eligible_matches_constraint_checks(inst, ops):
     state = SearchState(inst)
     k = inst.step_count
     for pick, lab, child_pick, back in ops:
-        unassigned = [s for s in range(k) if state.entries[s] == 0]
+        unassigned = [s for s in range(k) if state.pattern.entries[s] == 0]
         if back or not unassigned:
-            if any(state.entries):
+            if state.pattern.assigned_count:
                 state.retract()
             continue
         for s in unassigned:
@@ -208,18 +208,19 @@ def test_extension_eligible_matches_constraint_checks(inst, ops):
             # an answer kept from a sibling subtree shows up as a mismatch,
             # then ask ``step`` again after the child's extend/retract.
             child = rest[child_pick % len(rest)]
-            for label in range(1, state.max_label + 2):
+            for label in range(1, state.pattern.max_label + 2):
                 state.extend(step, label)
                 assert_eligibility_matches(state, inst, child)
                 state.retract()
             assert_eligibility_matches(state, inst, step)
-        state.extend(step, 1 + lab % (state.max_label + 1))
+        state.extend(step, 1 + lab % (state.pattern.max_label + 1))
 
 
 @given(instances(max_steps=5, max_users=5, allow_bod=False), st.data())
 @settings(max_examples=60)
 def test_search_state_counters_survive_retract(inst, data):
     state = SearchState(inst)
+    pattern = state.pattern
 
     def snapshot():
         return (
@@ -227,19 +228,19 @@ def test_search_state_counters_survive_retract(inst, data):
             list(state.ct_room),
             list(state.score),
             list(state.domain),
-            list(state.entries),
-            list(state.block_masks),
-            state.max_label,
+            list(pattern.entries),
+            list(pattern.block_masks),
+            pattern.max_label,
         )
 
     baseline = snapshot()
     k = inst.step_count
     depth = 0
     for _ in range(data.draw(st.integers(0, 2 * k))):
-        unassigned = [s for s in range(k) if state.entries[s] == 0]
+        unassigned = [s for s in range(k) if state.pattern.entries[s] == 0]
         if unassigned and (depth == 0 or data.draw(st.booleans())):
             step = data.draw(st.sampled_from(unassigned))
-            state.extend(step, data.draw(st.integers(1, state.max_label + 1)))
+            state.extend(step, data.draw(st.integers(1, state.pattern.max_label + 1)))
             depth += 1
         elif depth:
             state.retract()
@@ -271,10 +272,10 @@ def test_search_state_depends_only_on_the_surviving_extensions(inst, walk):
     k = inst.step_count
     path = []
     for pick, lab, back in walk:
-        unassigned = [s for s in range(k) if state.entries[s] == 0]
+        unassigned = [s for s in range(k) if state.pattern.entries[s] == 0]
         if unassigned and not (back and path):
             step = unassigned[pick % len(unassigned)]
-            label = 1 + lab % (state.max_label + 1)
+            label = 1 + lab % (state.pattern.max_label + 1)
             state.extend(step, label)
             path.append((step, label))
         elif path:
