@@ -46,9 +46,17 @@ so every leaf reached is realisable; with them off nothing is held, and
 the blocks are matched from scratch in label order.  The last step
 passes the same prunes and counts as a node, but no deeper node reads
 the search state, so the leaf writes its label in place and restores it
-instead of extending.  Steps are selected
-by a weighted count of the constraints pressing on them, so
-nearly-saturated at-most scopes are grouped early.
+instead of extending.
+
+``solve`` selects steps by constraint weighting after Boussemart,
+Hemery, Lecoutre and Sais: each step's weight starts at the number of
+not-equals and counting constraints on it, and each eligibility or
+forward cut adds 1 to every step of the constraint that caused it
+(``SearchState.cause``).  The next step is the one with the largest
+static score plus weight per label left in its domain, so steps pressed
+by nearly-saturated at-most scopes, or by constraints that keep cutting
+the search, come first.  ``solve_enumerating`` keeps the static order,
+the score alone, and learns nothing.
 
 The walk is one loop over an explicit stack, one frame per depth
 holding the chosen step and the next label to try, so the depth of the
@@ -66,12 +74,16 @@ A search that is still running after ``SPLIT_AFTER`` seconds forks one
 helper process and shares its remaining subtrees with it, as in
 parallel depth-first search after Rao and Kumar: each process, done
 with its subtree, claims the next unclaimed one from a counter the two
-share, so neither idles while the other has work left.  Both processes
-run the same ``_Split``: each records its counters and patterns per run
-of the tasks it owns, and one pass over both processes' runs in
-depth-first order merges them, so the outcome, the witnesses, the
-order of an enumeration's patterns and every search counter are those
-of the one-process walk.
+share, so neither idles while the other has work left.  The subtrees
+are the tasks below ``SPLIT_DEPTH`` in a decision and
+``ENUM_SPLIT_DEPTH`` in an enumeration.  A decision resets its weights
+at every label attempt down to its task depth, so both processes walk
+the depths above the tasks alike and start each task from the same
+weights.  Both processes run the same ``_Split``: each records its
+counters and patterns per run of the tasks it owns, and one pass over
+both processes' runs in depth-first order merges them, so the outcome,
+the witnesses, the order of an enumeration's patterns and every search
+counter are those of the one-process walk.
 """
 
 from __future__ import annotations
@@ -136,10 +148,18 @@ _ASSIGNED = -math.inf
 #: search shorter than this never pays for one.
 SPLIT_AFTER = 0.01
 
-#: The depth whose label attempts are the tasks the two processes share:
+#: The depth whose label attempts are the tasks the two processes share
+#: in a decision, and down to which its walk resets the learnt weights
+#: at every label attempt (see ``_search``), so that both processes walk
+#: the depths above alike and start each task from the same weights.
+#: Deeper tasks would be smaller but learn less; at depth 3 they were
+#: too few to share.
+SPLIT_DEPTH = 4
+
+#: The task depth of an enumeration, whose static order learns nothing:
 #: deep enough that tasks are many and small, shallow enough that each
 #: process re-walks little above them.
-SPLIT_DEPTH = 8
+ENUM_SPLIT_DEPTH = 8
 
 #: The counters of ``SearchStats`` that a search adds up, in the order
 #: the walk reports them.
@@ -176,8 +196,13 @@ class SearchState:
     constraint spends one room on each label new to its scope, an
     at-least one on each label its scope already uses; a constraint
     whose room is negative has no satisfying completion.  ``score[s]``
-    is the selection score of step s: its not-equals count plus the
-    at-most weights, or -inf once s is assigned.
+    is the static selection score of step s: its not-equals count plus
+    the at-most weights, or -inf once s is assigned.  ``weight[s]`` is
+    its learnt weight, which starts at ``start_weight[s]``, the number of
+    not-equals and counting constraints on s.  A walk raises it at each
+    cut (see ``cause`` and ``bump_lost``) and resets it; no retract
+    undoes it.  With ``weight`` None the state selects in the static
+    order.
 
     ``domain[s]`` is the bitmask of the labels unassigned step s may
     still take.  Every bit above ``pattern.max_label`` is alike, so the
@@ -234,11 +259,18 @@ class SearchState:
             else:
                 for s in c.scope:
                     gen_by_step[s].append(c)
-        self.ne_other = [tuple(x) for x in ne_other]
-        self._at_most = [tuple(x) for x in at_most]
-        self._at_least = [tuple(x) for x in at_least]
+        # In step and scope order, so that the cause a cut names and the
+        # starved step found first do not depend on the constraints' order.
+        by_scope = operator.itemgetter(1)
+        self.ne_other = [tuple(sorted(x)) for x in ne_other]
+        self._at_most = [tuple(sorted(x, key=by_scope)) for x in at_most]
+        self._at_least = [tuple(sorted(x, key=by_scope)) for x in at_least]
         self.gen_by_step = [tuple(x) for x in gen_by_step]
         self.score = score
+        self.start_weight = tuple(
+            len(ne_other[s]) + len(at_most[s]) + len(at_least[s]) for s in range(k)
+        )
+        self.weight: list[int] | None = list(self.start_weight)
         # Every label from 1 up: at the empty pattern no scope's room is
         # negative, and a scope with none (at-least r = |scope|) uses no
         # label yet, so it excludes none.
@@ -248,12 +280,64 @@ class SearchState:
     # -- heuristic ----------------------------------------------------------
 
     def select_step(self) -> int:
-        """Unassigned step with the highest score; ties to the lowest index."""
+        """The unassigned step with the largest ``(score + weight) / size``.
+
+        The size counts the labels 1..max_label + 1 left in the step's
+        domain; a step with none left comes first.  Ties go to the lowest
+        index.  With ``weight`` None, the static order: the highest score.
+        """
         score = self.score
-        top = max(score)
-        if top == _ASSIGNED:
+        weight = self.weight
+        if weight is None:
+            top = max(score)
+            if top == _ASSIGNED:
+                raise ValueError("pattern is complete")
+            return score.index(top)
+        labels = (2 << (self.pattern.max_label + 1)) - 2
+        best, top = -1, -1.0
+        for s, d in enumerate(self.domain):
+            v = score[s]
+            if v == _ASSIGNED:
+                continue
+            n = (d & labels).bit_count()
+            v = (v + weight[s]) / n if n else math.inf
+            if v > top:
+                best, top = s, v
+        if best < 0:
             raise ValueError("pattern is complete")
-        return score.index(top)
+        return best
+
+    def cause(self, step: int, label: int) -> tuple[int, ...] | None:
+        """The steps of the first constraint found that takes ``label``
+        from unassigned ``step``'s domain, or None if none does.
+
+        Checked in this order: a not-equals neighbour labelled ``label``
+        (the pair), then an at-most scope of ``step`` with room below 0,
+        or 0 with ``label`` unused in it, then an at-least scope with room
+        below 0, or 0 with ``label`` used in it (the scope).
+        """
+        entries = self.pattern.entries
+        for q in self.ne_other[step]:
+            if entries[q] == label:
+                return step, q
+        room, labels = self.ct_room, self.ct_labels
+        for used, scopes in ((0, self._at_most[step]), (1, self._at_least[step])):
+            for ci, scope in scopes:
+                g = room[ci]
+                if g < 0 or not g and labels[ci] >> label & 1 == used:
+                    return scope
+        return None
+
+    def bump_lost(self, step: int) -> None:
+        """Add 1 to the weight of every step of the cause of each label
+        1..max_label + 1 gone from ``step``'s domain."""
+        weight = self.weight
+        lost = ~self.domain[step] & ((2 << (self.pattern.max_label + 1)) - 2)
+        while lost:
+            low = lost & -lost
+            for q in self.cause(step, low.bit_length() - 1) or ():
+                weight[q] += 1
+            lost ^= low
 
     # -- pattern mutation with counter upkeep -------------------------------
 
@@ -338,8 +422,9 @@ class SearchState:
                 entries[step] = 0
         return True
 
-    def starved(self, step: int) -> bool:
-        """Did extending ``step`` leave some unassigned step without a label?
+    def starved(self, step: int) -> int | None:
+        """The first unassigned step found that extending ``step`` left
+        without a label, or None.
 
         Only two kinds of step can have been starved (see the module
         docstring): those whose domain the extension narrowed, and the
@@ -350,8 +435,9 @@ class SearchState:
         seen = narrowed = self._trail[-1][4]
         while narrowed:
             low = narrowed & -narrowed
-            if labelless(low.bit_length() - 1):
-                return True
+            q = low.bit_length() - 1
+            if labelless(q):
+                return q
             narrowed ^= low
         room = self.ct_room
         entries = self.pattern.entries
@@ -361,8 +447,8 @@ class SearchState:
                     if not seen >> q & 1 and not entries[q]:
                         seen |= 1 << q
                         if labelless(q):
-                            return True
-        return False
+                            return q
+        return None
 
     def _labelless(self, step: int) -> bool:
         """Does no label in the domain give unassigned ``step`` an authorised user?"""
@@ -386,6 +472,7 @@ def _search(
     deadline: float | None,
     prune: bool,
     stats: SearchStats,
+    tasks: int,
     split: _Split | None = None,
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """Depth-first walk yielding (canonical pattern, users) per realisable leaf.
@@ -397,10 +484,17 @@ def _search(
     in locals and written to ``stats`` when the walk ends: when it is
     exhausted, on a timeout, or when the generator is closed early.
 
-    With ``split``, each label attempt at depth ``split.depth`` first
-    calls ``split.boundary`` with the counters so far, which may skip the
-    label (the other process's task) or raise _Stop, and the deadline
-    checks call ``split.tick`` for the next time to call it.
+    Unless ``state.weight`` is None, the walk learns it: each eligibility
+    cut bumps its cause, and each forward cut the causes of the labels the
+    starved step has lost.  Each label attempt at depth ``tasks`` or above
+    first resets the weights to ``state.start_weight``, so every step
+    chosen down to the tasks' depth is chosen by those, and every task
+    starts from them.
+
+    With ``split``, each label attempt at depth ``tasks`` first calls
+    ``split.boundary`` with the counters so far, which may skip the label
+    (the other process's task) or raise _Stop, and the deadline checks
+    call ``split.tick`` for the next time to call it.
     """
     pattern = state.pattern
     k = state.step_count
@@ -413,6 +507,9 @@ def _search(
     select_step = state.select_step
     eligible = state.extension_eligible
     starved = state.starved
+    weight, start_weight = state.weight, state.start_weight
+    cause, bump_lost = state.cause, state.bump_lost
+    reset = -1 if weight is None else tasks  # the deepest depth that resets the weights
     # The forward check is one of the prunes.  Without an at-most scope
     # every step keeps the fresh label, which the root check authorises,
     # so no step can starve.
@@ -434,7 +531,7 @@ def _search(
     frontier, boundary, tick = -1, None, _timeout
     wake = math.inf if deadline is None else deadline
     if split is not None:
-        frontier, boundary, tick, wake = split.depth, split.boundary, split.tick, split.wake
+        frontier, boundary, tick, wake = tasks, split.boundary, split.tick, split.wake
     try:
         if deadline is not None and clock() >= deadline:
             raise _Timeout
@@ -450,6 +547,8 @@ def _search(
                     matched, held = before[depth]
                 continue
             next_label[depth] = x + 1
+            if depth <= reset:
+                weight[:] = start_weight
             if depth == frontier and not boundary(
                 (nodes, auth_prunes, eligibility_prunes, forward_prunes, matching_prunes,
                  matchings, matchings_full)
@@ -464,6 +563,9 @@ def _search(
                     continue
                 if not eligible(step, x):
                     eligibility_prunes += 1
+                    if reset >= 0:
+                        for q in cause(step, x) or ():
+                            weight[q] += 1
                     continue
                 before[depth] = matched, held
                 h = held[x]
@@ -489,10 +591,13 @@ def _search(
             if depth < last:
                 extend(step, x)
                 depth += 1
-                if forward and starved(step):
+                q = starved(step) if forward else None
+                if q is not None:
                     # Back out of the new depth as if it were exhausted,
                     # which retracts the extend and restores the matching.
                     forward_prunes += 1
+                    if reset >= 0:
+                        bump_lost(q)
                     next_label[depth] = k + 1
                     continue
                 steps[depth] = select_step()
@@ -619,14 +724,15 @@ class _Split:
         instance: WorkflowInstance,
         prune: bool,
         limit: int | None,
+        depth: int,
         deadline: float | None,
         start: float,
     ):
         self.instance = instance
         self.prune = prune
         self.limit = limit
+        self.depth = depth
         self.deadline = math.inf if deadline is None else deadline
-        self.depth = min(SPLIT_DEPTH, instance.step_count - 1)
         self.wake = min(self.deadline, start + SPLIT_AFTER)
         self.side = 0
         self.first = math.inf  # the last task begun before the fork
@@ -847,7 +953,8 @@ class _Split:
 def _helper(split: _Split) -> None:
     """The helper's walk, its runs reported to ``split.reports_fd`` as they
     finish, then a wait until side 0 closes ``split.alive_fd``'s other end."""
-    stats = _walk(SearchState(split.instance), None, split.prune, split.limit, split)[2]
+    state = SearchState(split.instance)
+    stats = _walk(state, None, split.prune, split.limit, split.depth, split)[2]
     split.end_run(_counts(stats))
     split.report(True)
     _readable(split.alive_fd, None)
@@ -866,19 +973,24 @@ def _walk(
     deadline: float | None,
     prune: bool,
     limit: int | None,
+    tasks: int,
     split: _Split | None,
 ) -> tuple[list[tuple[int, ...]], array, SearchStats, bool]:
-    """One walk for at most ``limit`` patterns (None: all).
+    """One walk for at most ``limit`` patterns (None: all), with its tasks
+    at depth ``tasks`` (see ``_search``).
 
-    Returns the patterns found, their witnesses as one flat array of
-    users (k per pattern, in step order), the stats and whether the
-    walk timed out.  With ``split`` these are the split's lists, which
-    hold the patterns of its open run.
+    A decision learns its step order; an enumeration (no limit) keeps the
+    static one.  Returns the patterns found, their witnesses as one flat
+    array of users (k per pattern, in step order), the stats and whether
+    the walk timed out.  With ``split`` these are the split's lists,
+    which hold the patterns of its open run.
     """
+    if limit is None:
+        state.weight = None
     stats = SearchStats()
     patterns, witnesses = (split.patterns, split.witnesses) if split else ([], array("q"))
     timed_out = False
-    search = _search(state, deadline, prune, stats, split)
+    search = _search(state, deadline, prune, stats, tasks, split)
     try:
         for pattern, users in itertools.islice(search, limit):
             patterns.append(pattern)
@@ -912,14 +1024,15 @@ def _drive(
         result = [], array("q"), SearchStats(), timed_out
     else:
         deadline = None if time_limit is None else start + time_limit
-        split = _Split(instance, prune, limit, deadline, start)
+        depth = min(ENUM_SPLIT_DEPTH if limit is None else SPLIT_DEPTH, instance.step_count - 1)
+        split = _Split(instance, prune, limit, depth, deadline, start)
         try:
-            result = _walk(state, deadline, prune, limit, split)
+            result = _walk(state, deadline, prune, limit, depth, split)
             if split.pid:
                 result = split.merge(*result[2:])
                 if result is None:
                     split.close()
-                    result = _walk(SearchState(instance), deadline, prune, limit, None)
+                    result = _walk(SearchState(instance), deadline, prune, limit, depth, None)
         finally:
             split.close()
     result[2].wall_time = time.perf_counter() - start

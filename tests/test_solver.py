@@ -143,6 +143,71 @@ def test_select_step_requires_unassigned():
         state.select_step()
 
 
+def test_select_step_divides_by_the_labels_left():
+    # Each step starts weighted by its not-equals and counting constraints.
+    inst = full_auth(4, 4, [NotEquals(0, 1), NotEquals(0, 2), AtMost(1, frozenset({2, 3}))])
+    state = SearchState(inst)
+    assert state.start_weight == (2, 1, 2, 1) and state.weight == [2, 1, 2, 1]
+    # Scores 2, 1, 3, 2: step 2 has the largest score plus weight.
+    assert state.select_step() == 2
+    # Step 1 takes label 1, which step 0 loses: 4 / 1 beats step 2's 5 / 2.
+    state.extend(1, 1)
+    assert state.select_step() == 0
+    state.weight[2] = 5  # 8 / 2 ties 4 / 1 and loses to the lower index
+    assert state.select_step() == 0
+    state.weight[2] = 6
+    assert state.select_step() == 2
+
+
+def test_a_step_with_no_label_left_is_selected_without_dividing_by_zero():
+    # Step 0 spends the at-most scope's one label, which its not-equals
+    # neighbour 2 may not take: step 2's domain is empty, and without
+    # prunes no forward check cuts the branch before the next selection.
+    inst = full_auth(3, 3, [AtMost(1, frozenset({0, 1, 2})), NotEquals(0, 2)])
+    state = SearchState(inst)
+    assert state.select_step() == 0
+    state.extend(0, 1)
+    assert state.domain[2] == 0
+    assert state.select_step() == 2
+    out = solve(inst, prune=False)
+    assert out.status == UNSAT == oracle_solve(inst).status
+
+
+def test_cause_of_a_cut_is_a_not_equals_neighbour():
+    state = SearchState(full_auth(3, 3, [NotEquals(0, 1), AtMost(1, frozenset({1, 2}))]))
+    state.extend(0, 1)
+    assert state.cause(1, 1) == (1, 0)
+    assert state.cause(1, 2) is None
+    assert not state.extension_eligible(1, 1)
+
+
+def test_cause_of_a_cut_is_a_full_at_most_scope_offered_a_fresh_label():
+    state = SearchState(full_auth(4, 4, [AtMost(2, frozenset({0, 1, 2}))]))
+    state.extend(0, 1)
+    state.extend(1, 2)
+    assert state.ct_room == [0]
+    assert state.cause(2, 3) == (0, 1, 2)
+    assert state.cause(2, 2) is None
+    assert state.cause(3, 3) is None  # outside the scope
+    assert not state.extension_eligible(2, 3)
+
+
+def test_cause_of_a_cut_is_a_full_at_least_scope_offered_a_reused_label():
+    state = SearchState(full_auth(3, 3, [AtLeast(2, frozenset({0, 1}))]))
+    state.extend(0, 1)
+    assert state.ct_room == [0]
+    assert state.cause(1, 1) == (0, 1)
+    assert state.cause(1, 2) is None
+    assert not state.extension_eligible(1, 1)
+
+
+def test_cause_of_a_generic_constraints_cut_is_none():
+    state = SearchState(full_auth(2, 2, [Never(frozenset({1}), "test marker")]))
+    state.extend(0, 1)
+    assert not state.extension_eligible(1, 1)
+    assert state.cause(1, 1) is None
+
+
 # --- extension eligibility (peek) vs the constraint API ----------------------
 
 
@@ -424,28 +489,28 @@ def test_domains_narrow_only_where_an_extension_can_starve():
     # keeps the fresh label, so it is not starved.
     state.extend(0, 1)
     assert state.domain == [every, every & ~0b10, every, every, every]
-    assert not state.starved(0)
+    assert state.starved(0) is None
     # Step 4 touches no constraint, so no domain narrows.
     state.extend(4, 2)
     assert state.domain == [every, every & ~0b10, every, every, every]
-    assert not state.starved(4)
+    assert state.starved(4) is None
     state.retract()
     # Step 3 spends the at-most scope's one label: step 2 may only join
     # its block, which still has users.
     state.extend(3, 2)
     assert state.domain == [every, every & ~0b10, 0b100, every, every]
-    assert not state.starved(3)
+    assert state.starved(3) is None
     # Step 1 takes that label, so its neighbour 2 has none left.
     state.extend(1, 2)
     assert state.domain == [every, every & ~0b10, 0, every, every]
-    assert state.starved(1)
+    assert state.starved(1) == 2
     state.retract()
     state.retract()
     # Step 2 spends the scope's label the other way round: step 3 may
     # only join its block, and the neighbour 1 loses label 2 as well.
     state.extend(2, 2)
     assert state.domain == [every, every & ~0b110, every, 0b100, every]
-    assert not state.starved(2)
+    assert state.starved(2) is None
     state.retract()
     state.retract()
     assert state.domain == [every] * 5
@@ -463,7 +528,7 @@ def test_forward_check_sees_an_at_least_scope_starve_a_step():
     assert state.domain[1] == 0b10
     state.extend(0, 1)
     assert state.domain[1] == 0
-    assert state.starved(0)
+    assert state.starved(0) == 1
 
 
 def test_forward_check_sees_a_block_narrow_under_a_full_scope():
@@ -474,10 +539,10 @@ def test_forward_check_sees_a_block_narrow_under_a_full_scope():
         make_instance(3, 2, [{0, 1}, {0}, {1}], [AtMost(1, frozenset({0, 1, 2}))])
     )
     state.extend(0, 1)
-    assert not state.starved(0)
+    assert state.starved(0) is None
     state.extend(1, 1)
     assert state.domain[2] == 0b10
-    assert state.starved(1)
+    assert state.starved(1) == 2
 
 
 def test_forward_check_reads_the_narrowing_of_the_current_node():
@@ -497,11 +562,11 @@ def test_forward_check_reads_the_narrowing_of_the_current_node():
     )
     state.extend(0, 1)
     state.extend(2, 1)
-    assert not state.starved(2)
+    assert state.starved(2) is None
     state.extend(3, 1)
-    assert state.starved(3)
+    assert state.starved(3) == 1
     state.retract()
-    assert not state.starved(2)
+    assert state.starved(2) is None
 
 
 @st.composite
@@ -553,7 +618,7 @@ def test_forward_check_changes_nothing_but_work(inst):
     pre = preprocess(inst)
     checked = solve_enumerating(pre.instance)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(SearchState, "starved", lambda self, step: False)
+        patch.setattr(SearchState, "starved", lambda self, step: None)
         unchecked = solve_enumerating(pre.instance)
     ungated = solve_enumerating(pre.instance, prune=False)
     assert set(checked.patterns) == set(unchecked.patterns) == set(ungated.patterns)
@@ -624,12 +689,29 @@ def test_repeat_solves_are_identical():
     )
 
 
+def test_the_search_does_not_depend_on_the_order_of_the_constraints():
+    # A cut names its cause, and the forward check its starved step, in
+    # step and scope order: a file's constraint lines, reordered, and its
+    # not-equals pairs, turned round, give the same walk.
+    inst = preprocess(generate(GeneratorConfig(24, density_to_e(24, 10), 28, 1))).instance
+    want = solve(inst)
+    for seed in range(3):
+        rng = random.Random(seed)
+        constraints = [
+            NotEquals(c.t, c.s) if isinstance(c, NotEquals) and rng.random() < 0.5 else c
+            for c in inst.constraints
+        ]
+        rng.shuffle(constraints)
+        got = solve(WorkflowInstance(inst.step_count, inst.user_count, inst.auth, tuple(constraints)))
+        assert (got.status, search_counters(got)) == (want.status, search_counters(want))
+
+
 @pytest.mark.parametrize(
     "counting, expected",
     [
-        (30, (SAT, 10827, 8179, 17889, 3849, 0, 1)),
-        (36, (SAT, 53019, 33334, 90527, 18055, 16, 1)),
-        (42, (UNSAT, 28351, 15864, 47389, 9255, 2, 0)),
+        (30, (SAT, 1482, 1055, 2756, 491, 0, 1)),
+        (36, (SAT, 2253, 1504, 4679, 655, 2, 1)),
+        (42, (UNSAT, 13470, 5973, 29160, 3932, 1, 0)),
     ],
 )
 def test_paper_k30_search_counters_are_pinned(counting, expected):
@@ -776,15 +858,16 @@ def test_unsat_instance_reports_no_plan():
 
 #: Generator instances (k, c, seed; d=10) whose searches run past the
 #: first deadline check, so that a split forced at 0 s happens: sat and
-#: unsat, each with at-most scopes, of 1,400 to 10,000 nodes.
+#: unsat, each with at-most scopes, of 1,400 to 10,000 nodes at every
+#: task depth.
 SPLIT_CASES = [
     (20, 28, 1),
-    (20, 28, 2),
+    (20, 30, 1),
     (22, 26, 3),
-    (22, 30, 2),
+    (24, 32, 3),
     (22, 30, 3),
     (24, 28, 1),
-    (24, 28, 2),
+    (24, 30, 2),
     (24, 33, 0),
 ]
 
@@ -797,19 +880,23 @@ def search_counters(out):
     return tuple(getattr(out.stats, name) for name in solver.COUNTERS)
 
 
-def one_process(instance, **kwargs):
+def one_process(instance, depth, **kwargs):
+    """The search in one process, its weights reset down to ``depth``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_may_fork", lambda: False)
+        mp.setattr(solver, "SPLIT_DEPTH", depth)
         return solve(instance, **kwargs)
 
 
 @contextlib.contextmanager
 def forced_split(depth):
-    """Split at the first deadline check, over tasks at ``depth``."""
+    """Split at the first deadline check, over tasks at ``depth``, which
+    is also where a decision's walk resets its weights."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_may_fork", lambda: True)
         mp.setattr(solver, "SPLIT_AFTER", 0.0)
         mp.setattr(solver, "SPLIT_DEPTH", depth)
+        mp.setattr(solver, "ENUM_SPLIT_DEPTH", depth)
         yield mp
 
 
@@ -841,7 +928,7 @@ def striding_claims(seed):
 def test_split_search_is_the_one_process_walk(case, depth):
     # Depths past the last step stand for the last: its labels are leaves.
     inst = split_case(*case)
-    want = one_process(inst)
+    want = one_process(inst, depth)
     with forced_split(depth):
         got = solve(inst)
     assert got.stats.processes == 2
@@ -857,12 +944,20 @@ def test_split_search_is_the_one_process_walk(case, depth):
     depth=st.integers(0, 12),
     seed=st.integers(0, 2**32 - 1),
 )
+# Tasks at depth 0 are the root's one label; at 2 and 4 a side walks the
+# depths above the tasks between tasks it skipped, and starts a task
+# after one the other side walked.
+@example(case=(22, 30, 3), depth=0, seed=0)
+@example(case=(22, 30, 3), depth=2, seed=0)
+@example(case=(22, 30, 3), depth=4, seed=0)
 @settings(max_examples=20)
 def test_any_claim_schedule_gives_the_one_process_walk(case, depth, seed):
     # However the two sides' claims interleave, and however many tasks
     # each takes at once, every task has one owner and the runs alternate.
+    # Each side learns weights only within a task, so it walks every task
+    # as the one process does.
     inst = split_case(*case)
-    want = one_process(inst)
+    want = one_process(inst, depth)
     with forced_split(depth) as mp:
         mp.setattr(solver._Split, "claim", striding_claims(seed))
         got = solve(inst)
@@ -877,7 +972,7 @@ def test_any_claim_schedule_gives_the_one_process_walk(case, depth, seed):
 @pytest.mark.parametrize("depth", [2, 5, 7])
 def test_split_search_without_prunes_is_the_one_process_walk(depth):
     inst = hard_unsat_instance(8)
-    want = one_process(inst, prune=False)
+    want = one_process(inst, depth, prune=False)
     with forced_split(depth):
         got = solve(inst, prune=False)
     assert got.stats.processes == 2
@@ -886,11 +981,11 @@ def test_split_search_without_prunes_is_the_one_process_walk(depth):
 
 @pytest.mark.parametrize(
     "case, depth, parent_found",
-    [((22, 26, 3), 4, True), ((24, 33, 0), 4, False)],
+    [((22, 26, 3), 4, True), ((20, 28, 1), 4, False)],
 )
 def test_no_helper_outlives_a_sat_answer(case, depth, parent_found):
     inst = split_case(*case)
-    want = one_process(inst)
+    want = one_process(inst, depth)
     found = []  # the solutions this process's own walk yielded
     search = solver._search
 
@@ -908,12 +1003,12 @@ def test_no_helper_outlives_a_sat_answer(case, depth, parent_found):
     assert bool(found and dict(enumerate(found[0][1])) == got.plan) == parent_found
 
 
-@pytest.mark.parametrize("case", [(20, 28, 1), (22, 26, 3), (22, 30, 2), (24, 28, 2), (24, 33, 0)])
+@pytest.mark.parametrize("case", [(20, 28, 1), (22, 26, 3), (24, 30, 2), (24, 32, 3), (24, 33, 0)])
 def test_a_parent_solution_is_settled_without_the_helper(case):
     # At depth 0 the one task is the parent's, so its solution is settled
     # at once, though the helper never reports.
     inst = split_case(*case)
-    want = one_process(inst)
+    want = one_process(inst, 0)
     with forced_split(0) as mp:
         mp.setattr(solver, "_helper", lambda split: solver._readable(split.alive_fd, None))
         got = solve(inst, time_limit=3)
@@ -950,14 +1045,14 @@ def test_no_helper_outlives_an_error_in_the_walk():
     with forced_split(6) as mp:
         mp.setattr(SearchState, "select_step", failing)
         with pytest.raises(RuntimeError, match="select_step failed"):
-            solve(split_case(24, 28, 1))
+            solve(split_case(30, 42, 0))
     assert_no_child_process()
 
 
 @pytest.mark.parametrize("case", [(24, 33, 0), (24, 28, 1)])
 def test_a_lost_helper_leaves_the_one_process_answer(case, capfd):
     inst = split_case(*case)
-    want = one_process(inst)
+    want = one_process(inst, 4)
     with forced_split(4) as mp:
         mp.setattr(solver, "_helper", lambda *args: os._exit(1))
         got = solve(inst)
@@ -990,7 +1085,7 @@ def test_a_helper_lost_after_reporting_leaves_the_one_process_answer(case, n, ca
     # Lost after its first message, the helper may have settled the answer
     # already (two processes) or not (a rerun in one); either is the walk.
     inst = split_case(*case)
-    want = one_process(inst)
+    want = one_process(inst, 4)
     with forced_split(4) as mp:
         mp.setattr(solver, "_send", helper_lost_at_message(n))
         got = solve(inst)
@@ -1008,7 +1103,7 @@ def test_a_helper_lost_holding_the_counter_leaves_the_one_process_answer(case, c
     # The helper takes the counter at its first claim and never puts it
     # back, so side 0's next claim waits until the helper's reports end.
     inst = split_case(*case)
-    want = one_process(inst)
+    want = one_process(inst, 4)
     claim = solver._Split.claim
 
     def lost_holding(split):
@@ -1043,8 +1138,8 @@ def test_a_split_search_timed_out_past_a_settled_solution_is_sat():
     # walks past the task of the helper's solution; at the next it takes
     # in that solution and its deadline passes.  Every task before the
     # solution has then been walked, so the answer is settled.
-    inst = split_case(22, 30, 2)
-    want = one_process(inst)
+    inst = split_case(24, 32, 4)
+    want = one_process(inst, 4)
     tick = solver._Split.tick
     checks = itertools.count()
     passed = []  # whether the parent had walked past the helper's solution
@@ -1189,7 +1284,7 @@ def test_a_timed_out_split_enumeration_keeps_the_helpers_reported_patterns():
             found.add(item[0])
             yield item
 
-    with forced_split(solver.SPLIT_DEPTH) as mp:
+    with forced_split(solver.ENUM_SPLIT_DEPTH) as mp:
         mp.setattr(solver, "_search", recording)
         got = solve_enumerating(inst, time_limit=0.25)
     assert (got.timed_out, got.stats.processes) == (True, 2)
