@@ -41,26 +41,21 @@ class Pattern:
     """Mutable pattern with O(1) undo and cached block intersections.
 
     The search mutates a single pattern in place: ``extend`` assigns a
-    step, ``retract`` undoes the most recent assignment.
-    ``step_user_masks`` gives each step's authorised users as a bitmask.
-    One public list, indexed by label (index 0 unused), describes the
-    blocks: ``block_masks[x]`` is the intersection of the user masks of
-    the steps labelled ``x``, i.e. the users who may perform the whole
-    block.  The previous intersection and ``max_label`` are saved on a
-    trail, so retraction is a pointer swap.  Memory stays
-    O(steps * users): one entry array, one intersection mask per label,
-    and a trail of at most k frames.
+    step, ``retract`` undoes the most recent assignment.  ``auth`` gives
+    each step's authorised users as a bitmask.  One public list, indexed
+    by label (index 0 unused), describes the blocks: ``block_masks[x]``
+    is the intersection of the user masks of the steps labelled ``x``,
+    i.e. the users who may perform the whole block.  The previous
+    intersection and ``max_label`` are saved on a trail, so retraction
+    is a pointer swap.  Memory stays O(steps * users): one entry array,
+    one intersection mask per label, and a trail of at most k frames.
+
+    The solver's ``SearchState`` subclasses it.  The benchmark's traced
+    pass wraps ``extend``, ``retract`` and ``extension_user_mask`` here
+    by name.
     """
 
-    __slots__ = (
-        "step_count",
-        "entries",
-        "max_label",
-        "assigned_count",
-        "block_masks",
-        "_auth",
-        "_trail",
-    )
+    __slots__ = ("step_count", "entries", "max_label", "block_masks", "auth", "_trail")
 
     def __init__(self, step_count: int, step_user_masks: Sequence[int]):
         if step_count < 1:
@@ -68,38 +63,37 @@ class Pattern:
         self.step_count = step_count
         self.entries: list[int] = [0] * step_count
         self.max_label = 0
-        self.assigned_count = 0
         self.block_masks: list[int] = [0] * (step_count + 1)
-        self._auth = step_user_masks
+        self.auth = step_user_masks
         self._trail: list[tuple[int, int, int, int]] = []
 
     def extension_user_mask(self, step: int, label: int) -> int:
         """Intersection the block would have after extend(step, label)."""
         if label > self.max_label:
-            return self._auth[step]
-        return self.block_masks[label] & self._auth[step]
+            return self.auth[step]
+        return self.block_masks[label] & self.auth[step]
 
     def extend(self, step: int, label: int) -> None:
         """Assign ``label`` to ``step``.
 
-        The label must be an existing block or the next fresh one
-        (max_label + 1); the step must currently be unassigned.
+        The step must be one of 0..k-1 and unassigned; the label must be
+        an existing block or the next fresh one (max_label + 1).
         """
-        if self.entries[step] != 0:
+        entries = self.entries
+        if not 0 <= step < len(entries):
+            raise ValueError(f"step {step} out of range 0..{len(entries) - 1}")
+        if entries[step]:
             raise ValueError(f"step {step} already assigned")
-        if not 1 <= label <= self.max_label + 1:
-            raise ValueError(
-                f"label {label} out of range 1..{self.max_label + 1}"
-            )
-        prev_mask = self.block_masks[label]
         prev_max = self.max_label
-        self.entries[step] = label
-        self.assigned_count += 1
+        if not 1 <= label <= prev_max + 1:
+            raise ValueError(f"label {label} out of range 1..{prev_max + 1}")
+        prev_mask = self.block_masks[label]
+        entries[step] = label
         if label > prev_max:
             self.max_label = label
-            self.block_masks[label] = self._auth[step]
+            self.block_masks[label] = self.auth[step]
         else:
-            self.block_masks[label] = prev_mask & self._auth[step]
+            self.block_masks[label] = prev_mask & self.auth[step]
         self._trail.append((step, label, prev_mask, prev_max))
 
     def retract(self) -> None:
@@ -108,5 +102,4 @@ class Pattern:
             raise ValueError("nothing to retract")
         step, label, prev_mask, self.max_label = self._trail.pop()
         self.entries[step] = 0
-        self.assigned_count -= 1
         self.block_masks[label] = prev_mask

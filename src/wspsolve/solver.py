@@ -182,12 +182,17 @@ class _Stop(Exception):
     """The walk has no task left to take."""
 
 
-def _timeout() -> float:
-    raise _Timeout
+class SearchState(Pattern):
+    """Mutable search position: a ``Pattern`` plus incremental constraint
+    counters.
 
-
-class SearchState:
-    """Mutable search position: pattern plus incremental constraint counters.
+    The search reads ``entries``, ``block_masks``, ``max_label`` and
+    ``auth`` off the state itself.  ``extend`` and ``retract`` move the
+    pattern through ``Pattern.extend`` and ``Pattern.retract``, looked up
+    at each call, because the benchmark's traced pass wraps those two
+    and ``Pattern.extension_user_mask``, as well as this class's
+    ``extend``, ``retract``, ``extension_eligible`` and ``select_step``,
+    by name.
 
     For every counting constraint ``ci`` the state tracks, in flat lists,
     ``ct_labels[ci]`` (bit x set when some scope step has label x) and
@@ -205,14 +210,15 @@ class SearchState:
     order.
 
     ``domain[s]`` is the bitmask of the labels unassigned step s may
-    still take.  Every bit above ``pattern.max_label`` is alike, so the
+    still take.  Every bit above ``max_label`` is alike, so the
     bit of the fresh label says whether s may open a block.  Along a
     branch a domain only shrinks: an extension clears its label from
     the not-equals neighbours, and once a scope has no room left it
     narrows the scope's steps to the labels that spend none.  Extending
-    pushes these four lists and a bitmask of the narrowed steps onto the
-    trail and writes copies (of the counting lists only for a step in a
-    counting scope, as nothing else writes them); retract rebinds them.
+    pushes these four lists and a bitmask of the narrowed steps onto
+    ``_frames``, beside the pattern's own trail, and writes copies (of
+    the counting lists only for a step in a counting scope, as nothing
+    else writes them); retract rebinds them.
     """
 
     def __init__(self, instance: WorkflowInstance):
@@ -221,11 +227,9 @@ class SearchState:
                 raise ValueError(
                     "instance still has binding-of-duty constraints; preprocess first"
                 )
-        self.instance = instance
-        self.auth = instance.auth.step_user_masks
         k = instance.step_count
-        self.step_count = k
-        self.pattern = Pattern(k, self.auth)
+        super().__init__(k, instance.auth.step_user_masks)
+        self.instance = instance
 
         # Scores start at each step's not-equals count plus the at-most
         # weights of the empty pattern (small whole numbers, so the float
@@ -275,7 +279,7 @@ class SearchState:
         # negative, and a scope with none (at-least r = |scope|) uses no
         # label yet, so it excludes none.
         self.domain = [-2] * k
-        self._trail: list[tuple[list[float], list[int], list[int], list[int], int]] = []
+        self._frames: list[tuple[list[float], list[int], list[int], list[int], int]] = []
 
     # -- heuristic ----------------------------------------------------------
 
@@ -293,7 +297,7 @@ class SearchState:
             if top == _ASSIGNED:
                 raise ValueError("pattern is complete")
             return score.index(top)
-        labels = (2 << (self.pattern.max_label + 1)) - 2
+        labels = (2 << (self.max_label + 1)) - 2
         best, top = -1, -1.0
         for s, d in enumerate(self.domain):
             v = score[s]
@@ -316,7 +320,7 @@ class SearchState:
         or 0 with ``label`` unused in it, then an at-least scope with room
         below 0, or 0 with ``label`` used in it (the scope).
         """
-        entries = self.pattern.entries
+        entries = self.entries
         for q in self.ne_other[step]:
             if entries[q] == label:
                 return step, q
@@ -332,7 +336,7 @@ class SearchState:
         """Add 1 to the weight of every step of the cause of each label
         1..max_label + 1 gone from ``step``'s domain."""
         weight = self.weight
-        lost = ~self.domain[step] & ((2 << (self.pattern.max_label + 1)) - 2)
+        lost = ~self.domain[step] & ((2 << (self.max_label + 1)) - 2)
         while lost:
             low = lost & -lost
             for q in self.cause(step, low.bit_length() - 1) or ():
@@ -342,9 +346,8 @@ class SearchState:
     # -- pattern mutation with counter upkeep -------------------------------
 
     def extend(self, step: int, label: int) -> None:
-        pattern = self.pattern
-        pattern.extend(step, label)
-        entries = pattern.entries
+        Pattern.extend(self, step, label)
+        entries = self.entries
         frame = self.score, self.domain, self.ct_labels, self.ct_room
         self.score = score = frame[0][:]
         self.domain = domain = frame[1][:]
@@ -392,11 +395,11 @@ class SearchState:
                         if d & keep != d and not entries[q]:
                             domain[q] = d & keep
                             narrowed |= 1 << q
-        self._trail.append((*frame, narrowed))
+        self._frames.append((*frame, narrowed))
 
     def retract(self) -> None:
-        self.score, self.domain, self.ct_labels, self.ct_room, _ = self._trail.pop()
-        self.pattern.retract()
+        Pattern.retract(self)  # first, so an empty trail raises its ValueError
+        self.score, self.domain, self.ct_labels, self.ct_room, _ = self._frames.pop()
 
     # -- extension viability -----------------------------------------------
 
@@ -412,7 +415,7 @@ class SearchState:
             return False
         generic = self.gen_by_step[step]
         if generic:
-            entries = self.pattern.entries
+            entries = self.entries
             entries[step] = label
             try:
                 for c in generic:
@@ -432,7 +435,7 @@ class SearchState:
         labels' blocks it may have narrowed.  Each is checked once.
         """
         labelless = self._labelless
-        seen = narrowed = self._trail[-1][4]
+        seen = narrowed = self._frames[-1][4]
         while narrowed:
             low = narrowed & -narrowed
             q = low.bit_length() - 1
@@ -440,7 +443,7 @@ class SearchState:
                 return q
             narrowed ^= low
         room = self.ct_room
-        entries = self.pattern.entries
+        entries = self.entries
         for ci, scope in self._at_most[step]:
             if not room[ci]:
                 for q in scope:
@@ -452,13 +455,12 @@ class SearchState:
 
     def _labelless(self, step: int) -> bool:
         """Does no label in the domain give unassigned ``step`` an authorised user?"""
-        pattern = self.pattern
         mask = self.domain[step]
-        if mask >> (pattern.max_label + 1) & 1:
+        if mask >> (self.max_label + 1) & 1:
             return False  # the fresh label
         # Without the fresh bit no higher bit is set either.
         auth = self.auth[step]
-        block_masks = pattern.block_masks
+        block_masks = self.block_masks
         while mask:
             low = mask & -mask
             if block_masks[low.bit_length() - 1] & auth:
@@ -468,40 +470,38 @@ class SearchState:
 
 
 def _search(
-    state: SearchState,
-    deadline: float | None,
-    prune: bool,
-    stats: SearchStats,
-    tasks: int,
-    split: _Split | None = None,
+    state: SearchState, split: _Split, stats: SearchStats
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """Depth-first walk yielding (canonical pattern, users) per realisable leaf.
 
     ``users[s]`` is the witness's user for step s.  A label for the last
-    step decides a complete pattern in place, without ``extend``.
+    step decides a complete pattern in place, without ``extend``.  The
+    walk prunes if ``split.prune``, and its tasks are the label attempts
+    at depth ``split.depth``.
 
-    Raises _Timeout once ``deadline`` has passed.  The counters are kept
-    in locals and written to ``stats`` when the walk ends: when it is
+    Raises _Timeout once ``split.deadline`` has passed.  The counters are
+    kept in locals and written to ``stats`` when the walk ends: when it is
     exhausted, on a timeout, or when the generator is closed early.
 
     Unless ``state.weight`` is None, the walk learns it: each eligibility
     cut bumps its cause, and each forward cut the causes of the labels the
-    starved step has lost.  Each label attempt at depth ``tasks`` or above
-    first resets the weights to ``state.start_weight``, so every step
-    chosen down to the tasks' depth is chosen by those, and every task
-    starts from them.
+    starved step has lost.  Each label attempt at the tasks' depth or
+    above first resets the weights to ``state.start_weight``, so every
+    step chosen down to the tasks' depth is chosen by those, and every
+    task starts from them.
 
-    With ``split``, each label attempt at depth ``tasks`` first calls
-    ``split.boundary`` with the counters so far, which may skip the label
-    (the other process's task) or raise _Stop, and the deadline checks
-    call ``split.tick`` for the next time to call it.
+    Each task first calls ``split.boundary`` with the counters so far,
+    which may skip the label (the other process's task) or raise _Stop,
+    and the deadline checks, due at ``split.wake``, call ``split.tick``
+    for the next time to call it.
     """
-    pattern = state.pattern
     k = state.step_count
     constraints = state.instance.constraints
     auth = state.auth
-    entries = pattern.entries
-    block_masks = pattern.block_masks
+    entries = state.entries
+    block_masks = state.block_masks
+    prune = split.prune
+    tasks = split.depth
     extend = state.extend
     retract = state.retract
     select_step = state.select_step
@@ -528,18 +528,15 @@ def _search(
     held = [0] * (k + 1)
     matched = 0
     before = [(matched, held)] * k
-    frontier, boundary, tick = -1, None, _timeout
-    wake = math.inf if deadline is None else deadline
-    if split is not None:
-        frontier, boundary, tick, wake = tasks, split.boundary, split.tick, split.wake
+    boundary, tick, wake = split.boundary, split.tick, split.wake
     try:
-        if deadline is not None and clock() >= deadline:
+        if clock() >= split.deadline:
             raise _Timeout
         depth = 0
         steps[0] = select_step()
         while depth >= 0:
             x = next_label[depth]
-            top = pattern.max_label + 1
+            top = state.max_label + 1
             if x > top:
                 depth -= 1
                 if depth >= 0:
@@ -549,7 +546,7 @@ def _search(
             next_label[depth] = x + 1
             if depth <= reset:
                 weight[:] = start_weight
-            if depth == frontier and not boundary(
+            if depth == tasks and not boundary(
                 (nodes, auth_prunes, eligibility_prunes, forward_prunes, matching_prunes,
                  matchings, matchings_full)
             ):
@@ -716,7 +713,8 @@ class _Split:
     walk ends at its ``limit``-th pattern (1 or None): a decision's
     first solution is settled once both sides have walked every task
     before its own, and side 0 takes no task past the helper's solution
-    once it knows of it.
+    once it knows of it.  A split that ``start``s at infinity never
+    forks: its first deadline check is at the deadline.
     """
 
     def __init__(
@@ -953,8 +951,7 @@ class _Split:
 def _helper(split: _Split) -> None:
     """The helper's walk, its runs reported to ``split.reports_fd`` as they
     finish, then a wait until side 0 closes ``split.alive_fd``'s other end."""
-    state = SearchState(split.instance)
-    stats = _walk(state, None, split.prune, split.limit, split.depth, split)[2]
+    stats = _walk(SearchState(split.instance), split)[2]
     split.end_run(_counts(stats))
     split.report(True)
     _readable(split.alive_fd, None)
@@ -969,30 +966,25 @@ def _root_unsat(instance: WorkflowInstance) -> bool:
 
 
 def _walk(
-    state: SearchState,
-    deadline: float | None,
-    prune: bool,
-    limit: int | None,
-    tasks: int,
-    split: _Split | None,
+    state: SearchState, split: _Split
 ) -> tuple[list[tuple[int, ...]], array, SearchStats, bool]:
-    """One walk for at most ``limit`` patterns (None: all), with its tasks
-    at depth ``tasks`` (see ``_search``).
+    """One walk of ``split``'s tasks for at most ``split.limit`` patterns
+    (None: all; see ``_search``).
 
     A decision learns its step order; an enumeration (no limit) keeps the
     static one.  Returns the patterns found, their witnesses as one flat
     array of users (k per pattern, in step order), the stats and whether
-    the walk timed out.  With ``split`` these are the split's lists,
-    which hold the patterns of its open run.
+    the walk timed out.  The patterns and witnesses are the split's
+    lists, which hold those of its open run.
     """
-    if limit is None:
+    if split.limit is None:
         state.weight = None
     stats = SearchStats()
-    patterns, witnesses = (split.patterns, split.witnesses) if split else ([], array("q"))
+    patterns, witnesses = split.patterns, split.witnesses
     timed_out = False
-    search = _search(state, deadline, prune, stats, tasks, split)
+    search = _search(state, split, stats)
     try:
-        for pattern, users in itertools.islice(search, limit):
+        for pattern, users in itertools.islice(search, split.limit):
             patterns.append(pattern)
             witnesses.fromlist(users)
     except _Timeout:
@@ -1013,7 +1005,8 @@ def _drive(
     """Run one timed search for at most ``limit`` patterns (None: all), as ``_walk``.
 
     The search may split (see ``_Split``); if its helper ends without
-    reporting, the search runs again in this process alone.
+    reporting, the search runs again in this process alone, under a
+    ``_Split`` that starts at infinity and so never forks.
     """
     if time_limit is not None and math.isnan(time_limit):
         raise ValueError("time limit is NaN")
@@ -1027,12 +1020,13 @@ def _drive(
         depth = min(ENUM_SPLIT_DEPTH if limit is None else SPLIT_DEPTH, instance.step_count - 1)
         split = _Split(instance, prune, limit, depth, deadline, start)
         try:
-            result = _walk(state, deadline, prune, limit, depth, split)
+            result = _walk(state, split)
             if split.pid:
                 result = split.merge(*result[2:])
                 if result is None:
                     split.close()
-                    result = _walk(SearchState(instance), deadline, prune, limit, depth, None)
+                    alone = _Split(instance, prune, limit, depth, deadline, math.inf)
+                    result = _walk(SearchState(instance), alone)
         finally:
             split.close()
     result[2].wall_time = time.perf_counter() - start

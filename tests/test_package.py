@@ -98,13 +98,16 @@ def test_benchmark_toy_run_checks_out(workload, perfbench_run):
     assert result["correct"] and result["failed"] == 0, about["problems"]
 
 
-def test_benchmark_traced_toy_run_finds_every_boundary(perfbench_run):
+@pytest.mark.parametrize("workload", ["paper-k30", "scarce-users", "enumerate", "wide-users"])
+def test_benchmark_traced_toy_run_finds_every_boundary(workload, perfbench_run):
     """The traced run wraps the search's per-node boundaries by name, and
     reports a renamed or deleted one absent rather than failing; this
-    catches that, and checks every per-layer metric is emitted."""
-    result, about = perfbench_run.run("enumerate", 1, 0.0, True, scale=10)
+    catches that, checks every per-layer metric is emitted, and that the
+    result is strict JSON, as the benchmark's last line must be."""
+    result, about = perfbench_run.run(workload, 1, 0.0, True, scale=10)
     assert result["correct"], about["problems"]
     assert about["absent"] == []
+    json.dumps(result, allow_nan=False)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     for metric in spec["per_layer"]:
         assert metric["name"] in result["metrics"], metric["name"]

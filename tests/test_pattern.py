@@ -95,14 +95,14 @@ def test_encode_groups_plans_by_sharing_structure():
 
 def test_pattern_extend_retract_lifecycle():
     pat = Pattern(4, [1] * 4)
-    assert pat.assigned_count == 0
+    assert pat.entries.count(0) == 4
     pat.extend(2, 1)
     pat.extend(0, 2)
     pat.extend(1, 2)
     assert pat.entries == [2, 2, 1, 0]
     assert pat.max_label == 2
     pat.extend(3, 3)
-    assert pat.assigned_count == pat.step_count
+    assert pat.entries.count(0) == 0
     pat.retract()
     pat.retract()
     assert pat.entries == [2, 0, 1, 0]
@@ -126,6 +126,10 @@ def test_pattern_rejects_bad_moves():
         pat.extend(1, 3)  # skips label 2
     with pytest.raises(ValueError):
         pat.extend(1, 0)
+    for step in (-1, 3):  # outside 0..k-1, even where an index would wrap
+        with pytest.raises(ValueError, match="out of range"):
+            pat.extend(step, 1)
+    assert pat.entries == [1, 0, 0]
 
 
 def mask_of(users: set[int]) -> int:
@@ -178,7 +182,7 @@ def test_pattern_tracks_encode_under_random_walks(data):
         assert tuple(pat.entries) == canonical_along(
             [plan.get(s, 0) for s in range(k)], history
         )
-        assert pat.assigned_count == len(plan)
+        assert pat.entries.count(0) == k - len(plan)
         assert pat.max_label == max(pat.entries, default=0)
         for lab in range(1, pat.max_label + 1):
             members = [s for s in range(k) if pat.entries[s] == lab]

@@ -143,6 +143,30 @@ def test_select_step_requires_unassigned():
         state.select_step()
 
 
+def test_search_state_rejects_a_step_out_of_range():
+    # Step -1 would index step k-1 and step k past the end; both are
+    # refused before the pattern or a counter changes.
+    inst = full_auth(3, 3, [NotEquals(0, 2), AtMost(1, frozenset({1, 2}))])
+    state = SearchState(inst)
+    before = (list(state.entries), state.domain, state.ct_room, state.score)
+    for step in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            state.extend(step, 1)
+    assert (state.entries, state.domain, state.ct_room, state.score) == before
+
+
+def test_search_state_retract_on_an_empty_trail_is_a_value_error():
+    state = SearchState(full_auth(2, 2, [NotEquals(0, 1)]))
+    with pytest.raises(ValueError, match="nothing to retract"):
+        state.retract()
+    state.extend(0, 1)
+    state.retract()
+    with pytest.raises(ValueError, match="nothing to retract"):
+        state.retract()
+    state.extend(1, 1)  # the state is still usable
+    assert state.entries == [0, 1] and state.domain[0] == -2 ^ 2
+
+
 def test_select_step_divides_by_the_labels_left():
     # Each step starts weighted by its not-equals and counting constraints.
     inst = full_auth(4, 4, [NotEquals(0, 1), NotEquals(0, 2), AtMost(1, frozenset({2, 3}))])
@@ -212,8 +236,8 @@ def test_cause_of_a_generic_constraints_cut_is_none():
 
 
 def assert_eligibility_matches(state, inst, step):
-    for label in range(1, state.pattern.max_label + 2):
-        probe = list(state.pattern.entries)
+    for label in range(1, state.max_label + 2):
+        probe = list(state.entries)
         probe[step] = label
         expect = all(
             c.check_partial(probe) for c in inst.constraints if step in c.scope
@@ -259,9 +283,9 @@ def test_extension_eligible_matches_constraint_checks(inst, ops):
     state = SearchState(inst)
     k = inst.step_count
     for pick, lab, child_pick, back in ops:
-        unassigned = [s for s in range(k) if state.pattern.entries[s] == 0]
+        unassigned = [s for s in range(k) if state.entries[s] == 0]
         if back or not unassigned:
-            if state.pattern.assigned_count:
+            if state.entries.count(0) < k:
                 state.retract()
             continue
         for s in unassigned:
@@ -273,19 +297,18 @@ def test_extension_eligible_matches_constraint_checks(inst, ops):
             # an answer kept from a sibling subtree shows up as a mismatch,
             # then ask ``step`` again after the child's extend/retract.
             child = rest[child_pick % len(rest)]
-            for label in range(1, state.pattern.max_label + 2):
+            for label in range(1, state.max_label + 2):
                 state.extend(step, label)
                 assert_eligibility_matches(state, inst, child)
                 state.retract()
             assert_eligibility_matches(state, inst, step)
-        state.extend(step, 1 + lab % (state.pattern.max_label + 1))
+        state.extend(step, 1 + lab % (state.max_label + 1))
 
 
 @given(instances(max_steps=5, max_users=5, allow_bod=False), st.data())
 @settings(max_examples=60)
 def test_search_state_counters_survive_retract(inst, data):
     state = SearchState(inst)
-    pattern = state.pattern
 
     def snapshot():
         return (
@@ -293,19 +316,19 @@ def test_search_state_counters_survive_retract(inst, data):
             list(state.ct_room),
             list(state.score),
             list(state.domain),
-            list(pattern.entries),
-            list(pattern.block_masks),
-            pattern.max_label,
+            list(state.entries),
+            list(state.block_masks),
+            state.max_label,
         )
 
     baseline = snapshot()
     k = inst.step_count
     depth = 0
     for _ in range(data.draw(st.integers(0, 2 * k))):
-        unassigned = [s for s in range(k) if state.pattern.entries[s] == 0]
+        unassigned = [s for s in range(k) if state.entries[s] == 0]
         if unassigned and (depth == 0 or data.draw(st.booleans())):
             step = data.draw(st.sampled_from(unassigned))
-            state.extend(step, data.draw(st.integers(1, state.pattern.max_label + 1)))
+            state.extend(step, data.draw(st.integers(1, state.max_label + 1)))
             depth += 1
         elif depth:
             state.retract()
@@ -337,10 +360,10 @@ def test_search_state_depends_only_on_the_surviving_extensions(inst, walk):
     k = inst.step_count
     path = []
     for pick, lab, back in walk:
-        unassigned = [s for s in range(k) if state.pattern.entries[s] == 0]
+        unassigned = [s for s in range(k) if state.entries[s] == 0]
         if unassigned and not (back and path):
             step = unassigned[pick % len(unassigned)]
-            label = 1 + lab % (state.pattern.max_label + 1)
+            label = 1 + lab % (state.max_label + 1)
             state.extend(step, label)
             path.append((step, label))
         elif path:
