@@ -41,10 +41,10 @@ class SplitMix64:
     """SplitMix64: state advances by the golden-ratio increment, output
     is the finalizer mix of the new state.
 
-    ``below``, ``take`` and the generator's per-user loop
-    (``_user_steps``) repeat ``next_u64``'s arithmetic inline, with the
-    state in a local, so that a draw costs no call and no attribute
-    store; each writes the state back once.
+    ``take`` and ``_user_steps`` share one draw loop, ``_shuffle``, with
+    ``next_u64``'s arithmetic inline: a call per shuffle, none per draw.
+    ``_user_steps`` keeps its size draw inline; calling ``below`` per
+    user made a 20,000-user draw 3-8% slower.
     """
 
     def __init__(self, seed: int):
@@ -64,14 +64,9 @@ class SplitMix64:
         raises ValueError.
         """
         limit = _limit(bound)
-        state = self._state
         while True:
-            state = (state + _GAMMA) & _MASK64
-            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-            z ^= z >> 31
+            z = self.next_u64()
             if z < limit:
-                self._state = state
                 return z % bound
 
     def take(self, items: list, count: int) -> list:
@@ -79,30 +74,38 @@ class SplitMix64:
 
         Mutates ``items``; swap i with a uniform index in [i, len) for
         i = 0..count-1 and return the prefix.  The draws are those of
-        ``below(len - i)``; a count above ``len`` raises its ValueError
-        before any draw.
+        ``below(len - i)``; a negative count, or one above ``len``,
+        raises ValueError before any draw.
         """
-        n = len(items)
+        if count < 0:
+            raise ValueError(f"count {count} is negative")
         if count > 0:
-            _limit(n - count + 1)  # the smallest bound drawn
-        # Every bound here is at most n, and a bound's limit exceeds
-        # 2**64 minus the bound, so a draw below ``cut`` is accepted
-        # without computing its limit.
-        cut = _TWO64 - n
-        state = self._state
-        for i in range(count):
-            bound = n - i
-            while True:
-                state = (state + _GAMMA) & _MASK64
-                z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-                z ^= z >> 31
-                if z < cut or z < _limit(bound):
-                    break
-            j = i + z % bound
-            items[i], items[j] = items[j], items[i]
-        self._state = state
+            _limit(len(items) - count + 1)  # the smallest bound drawn
+        self._state = _shuffle(self._state, items, count)
         return items[:count]
+
+
+def _shuffle(state: int, items: list, count: int) -> int:
+    """Swap ``items[i]`` with a uniform ``items[j]``, j in [i, len), for
+    i = 0..count-1, drawing as ``below(len - i)`` would from ``state``;
+    return the state after the last draw."""
+    n = len(items)
+    # Every bound here is at most n, and a bound's limit exceeds 2**64
+    # minus the bound, so a draw below ``cut`` is accepted without
+    # computing its limit.
+    cut = _TWO64 - n
+    for i in range(count):
+        bound = n - i
+        while True:
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            z ^= z >> 31
+            if z < cut or z < _limit(bound):
+                break
+        j = i + z % bound
+        items[i], items[j] = items[j], items[i]
+    return state
 
 
 def _limit(bound: int) -> int:
@@ -169,11 +172,10 @@ class GeneratorConfig:
 def _user_steps(rng: SplitMix64, n: int, k: int) -> list[list[int]]:
     """Each of n users' steps, in draw order: the draws of
     ``rng.take(list(range(k)), 1 + rng.below(ceil(k / 2)))`` per user,
-    with the draw loop inline and the state written back once."""
+    with the size draw inline and one ``_shuffle`` call per user."""
     max_auth = math.ceil(k / 2)
     size_limit = _limit(max_auth)
-    cut = _TWO64 - k  # as in take: every bound is at most k
-    steps = range(k)
+    steps = list(range(k))
     out = []
     state = rng._state
     for _ in range(n):
@@ -185,18 +187,8 @@ def _user_steps(rng: SplitMix64, n: int, k: int) -> list[list[int]]:
             if z < size_limit:
                 break
         m = 1 + z % max_auth
-        items = list(steps)
-        for i in range(m):
-            bound = k - i
-            while True:
-                state = (state + _GAMMA) & _MASK64
-                z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-                z ^= z >> 31
-                if z < cut or z < _limit(bound):
-                    break
-            j = i + z % bound
-            items[i], items[j] = items[j], items[i]
+        items = steps[:]
+        state = _shuffle(state, items, m)
         out.append(items[:m])
     rng._state = state
     return out

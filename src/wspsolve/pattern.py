@@ -68,7 +68,8 @@ class Pattern:
         self._trail: list[tuple[int, int, int, int]] = []
 
     def extension_user_mask(self, step: int, label: int) -> int:
-        """Intersection the block would have after extend(step, label)."""
+        """Intersection the block would have after extend(step, label).
+        No caller in the package; kept while the traced benchmark wraps it."""
         if label > self.max_label:
             return self.auth[step]
         return self.block_masks[label] & self.auth[step]

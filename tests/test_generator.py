@@ -146,6 +146,11 @@ def test_bound_errors_are_kept():
     # A count above the length reaches a bound of 0.
     with pytest.raises(ValueError, match=r"^bound must be positive$"):
         r.take([1, 2], 3)
+    # A negative count is refused, not read as a slice end.
+    items = [1, 2, 3]
+    with pytest.raises(ValueError, match=r"^count -1 is negative$"):
+        r.take(items, -1)
+    assert items == [1, 2, 3]
     # The failed calls drew nothing.
     assert r.next_u64() == SplitMix64(42).next_u64()
 
