@@ -63,8 +63,9 @@ holding the chosen step and the next label to try, so the depth of the
 tree is bounded by memory rather than by Python's recursion limit.  It
 yields each realisable complete pattern with its witness, the user of
 each step, as it is found.  ``solve_enumerating`` keeps every witness as
-k user ids in one flat array and builds a plan ``dict`` only when a
-caller reads it from ``EnumerationOutcome.plans``.
+k user ids in one flat array, one byte per id up to 256 users and two up
+to 65,536, and builds a plan ``dict`` only when a caller reads it from
+``EnumerationOutcome.plans``.
 
 Per-constraint state is flat (see ``SearchState``) and, like the held
 matching, copied on each change rather than logged for undo (Schulte
@@ -684,6 +685,15 @@ def _readable(fd: int, timeout: float | None = 0.0) -> bool:
     return bool(select.select([fd], [], [], timeout)[0])
 
 
+def _user_array(user_count: int) -> array:
+    """An empty array of the smallest typecode, of ``B``, ``H``, ``I`` and
+    ``q``, that holds every user id below ``user_count``: the witnesses."""
+    for code in "BHI":
+        if user_count <= 1 << 8 * array(code).itemsize:
+            return array(code)
+    return array("q")
+
+
 class _Split:
     """A search's tasks, shared by this process (side 0) and one forked
     helper (side 1), which run this same class.
@@ -741,7 +751,7 @@ class _Split:
         # the patterns and witnesses the walk has found since it opened.
         self.run: tuple[int, tuple[int, ...]] | None = (-1, (0,) * len(COUNTERS))
         self.patterns: list[tuple[int, ...]] = []
-        self.witnesses = array("q")
+        self.witnesses = _user_array(instance.user_count)
         self.pid = 0  # the helper's, while it runs
         # The pipes' ends: side 0 reads reports and holds the helper alive;
         # both sides read and write the counter's pipe.
@@ -859,7 +869,7 @@ class _Split:
                 os.close(alive_w)
                 self.side, self.task, self.run, self.runs = 1, 0, None, []
                 self.last = -1  # it holds no task, so claims at its first
-                self.patterns, self.witnesses = [], array("q")
+                self.patterns, self.witnesses = [], _user_array(self.instance.user_count)
                 self.deadline, self.wake = math.inf, 0.0
                 self.reports_fd, self.alive_fd = reports_w, alive_r
                 _helper(self)
@@ -923,7 +933,7 @@ class _Split:
             else:
                 _readable(self.reports_fd, None if wait == math.inf else wait)
         runs = sorted(self.runs)
-        merged, users = [], array("q")
+        merged, users = [], _user_array(self.instance.user_count)
         prev = 1  # the side of the run before: task -1 opens side 0's first run
         for i, (t, side, _, patterns, witnesses) in enumerate(runs):
             if t > walked or side == prev:
@@ -1014,7 +1024,7 @@ def _drive(
     state = SearchState(instance)
     timed_out = time_limit is not None and time_limit <= 0
     if timed_out or (prune and _root_unsat(instance)):
-        result = [], array("q"), SearchStats(), timed_out
+        result = [], _user_array(instance.user_count), SearchStats(), timed_out
     else:
         deadline = None if time_limit is None else start + time_limit
         depth = min(ENUM_SPLIT_DEPTH if limit is None else SPLIT_DEPTH, instance.step_count - 1)

@@ -164,6 +164,9 @@ READER_CASES = {
         [[3, 1], [3], [3, 1]],
     ),
     "repeated_step": ("wsp 3 2\nauth 0 1 1 2 1\nauth 1 2 1 2 2\n", [[1, 2], [1, 2]]),
+    # The fast path's sum 1 + 1 + 2 carries into bit 2, inside the step
+    # count: only the count of set bits tells the repeat apart.
+    "repeated_step_carries": ("wsp 3 1\nauth 0 0 0 1\n", [[0, 1]]),
     "user_without_steps": (
         "wsp 2 6\nauth 0 0\nauth 1 0 1\nauth 2\nauth 3 1\nauth 4 0\nauth 5\n",
         [[0], [0, 1], [], [1], [0], []],
@@ -229,6 +232,14 @@ def test_serialize_golden_round_trips(golden_instance):
 @given(instances(max_steps=6, max_users=7))
 def test_serialize_parse_round_trip(inst):
     assert parse_instance(serialize_instance(inst)) == inst
+
+
+@given(instances(max_steps=6, max_users=7))
+def test_commented_text_reads_as_the_plain_one(inst):
+    # A file with a "#" takes the reader's comment-stripping path, every
+    # line kind included.
+    text = serialize_instance(inst).replace("\n", " # c\n") + "# only a comment\n"
+    assert parse_instance(text) == inst
 
 
 @given(st.data())

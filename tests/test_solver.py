@@ -1277,6 +1277,23 @@ def test_no_helper_outlives_an_enumeration():
     assert (out.count, out.stats.processes) == (33159, 2)
 
 
+@pytest.mark.parametrize("n, code", [(256, "B"), (257, "H")])
+def test_witnesses_hold_the_highest_user_id(n, code):
+    # Only the last user may do step 0, so every witness names it: user
+    # 255 fills one byte, user 256 needs two.  The split sends its
+    # witnesses as the array's bytes, so both sides take one typecode.
+    inst = make_instance(8, n, [[n - 1]] + [range(n)] * 7)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_may_fork", lambda: False)
+        want = solve_enumerating(inst)
+    with forced_split(4):
+        got = solve_enumerating(inst)
+    assert (want.count, want.stats.processes, got.stats.processes) == (bell_numbers(8)[-1], 1, 2)
+    assert want.plans._users.typecode == code
+    assert all(plan[0] == n - 1 for plan in want.plans)
+    assert_same_enumeration(got, want)
+
+
 @pytest.mark.parametrize("depth", [4, 6, 8])
 def test_a_timed_out_split_enumeration_is_a_prefix_of_the_walk(depth):
     # The deeper the tasks, the more of them the helper has reported,
