@@ -13,13 +13,22 @@ same instance on any machine or reimplementation.  Draws happen in a
 fixed order (authorisations user by user, then the not-equals pairs,
 then the at-most scopes, then the at-least scopes); bounded integers
 use rejection sampling on the raw 64-bit output and subsets come from a
-partial Fisher-Yates shuffle, as spelled out below.
+partial Fisher-Yates shuffle, as spelled out below.  Output i after a
+state is the finalizer of state + (i + 1) * gamma, so the shuffle takes
+its outputs a chunk at a time from one lane-packed kernel, ``_mix``; the
+draws, their order and every instance are those of one ``next_u64``
+call per draw.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .constraints import AtLeast, AtMost, NotEquals, UserIndependentConstraint
 from .model import AuthorisationLists, WorkflowInstance
@@ -41,10 +50,16 @@ class SplitMix64:
     """SplitMix64: state advances by the golden-ratio increment, output
     is the finalizer mix of the new state.
 
-    ``take`` and ``_user_steps`` share one draw loop, ``_shuffle``, with
-    ``next_u64``'s arithmetic inline: a call per shuffle, none per draw.
-    ``_user_steps`` keeps its size draw inline; calling ``below`` per
-    user made a 20,000-user draw 3-8% slower.
+    ``next_u64`` is the published algorithm, one output per call.  Every
+    subset draw (``take``, the per-user draws and the not-equals pairs)
+    runs the one partial Fisher-Yates loop, ``_shuffle``, on outputs that
+    ``_mix`` computes up to ``_CHUNK`` at a time, each in its own 128-bit
+    lane of one int, where a 64-bit product cannot spill into the next
+    lane.  A rejected draw reads the next output, as ``below`` does, and
+    a chunk never holds an output that is not drawn, so the state after
+    a call is the start state plus gamma per output drawn.  The draws,
+    their order and every generated text are those of ``next_u64``
+    called once per draw.
     """
 
     def __init__(self, seed: int):
@@ -81,31 +96,77 @@ class SplitMix64:
             raise ValueError(f"count {count} is negative")
         if count > 0:
             _limit(len(items) - count + 1)  # the smallest bound drawn
-        self._state = _shuffle(self._state, items, count)
+        self._state = _shuffle(self._state, items, count)[0]
         return items[:count]
 
 
-def _shuffle(state: int, items: list, count: int) -> int:
+# Lane i of a packed int is its bits 128i .. 128i + 127.  _LANES_ONE holds
+# 1 in every lane, _LANES_LOW 2**64 - 1 and _LANES_STEP (i + 1) * gamma in
+# lane i, for _CHUNK lanes; the low n lanes of each serve a chunk of n.
+_CHUNK = 1024
+_LANES_ONE = int.from_bytes((b"\x01" + bytes(15)) * _CHUNK, "little")
+_LANES_LOW = int.from_bytes((b"\xff" * 8 + bytes(8)) * _CHUNK, "little")
+_LANES_STEP = int.from_bytes(
+    b"".join(((i + 1) * _GAMMA).to_bytes(16, "little") for i in range(_CHUNK)), "little"
+)
+# The words of a lane's low 64 bits in a native-order array of 64-bit words.
+_LOW_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
+
+
+def _mix(state: int, n: int) -> tuple[int, list[int]]:
+    """SplitMix64's next ``n`` outputs after ``state``, 1 <= n <= _CHUNK,
+    and the state after them.
+
+    Lane i of one int holds state + (i + 1) * gamma, and each step of the
+    finalizer runs once over all lanes.  A lane's value stays below
+    2**64 after each mask, so its product with a 64-bit multiplier stays
+    below 2**128 and never carries into the next lane; the bits a right
+    shift brings in from the next lane are masked off before the
+    multiply.  Only the low 64 bits of each lane are read at the end, so
+    the last xor-shift needs no mask.
+    """
+    top = (1 << (n << 7)) - 1
+    low = _LANES_LOW & top
+    x = (state * (_LANES_ONE & top) + (_LANES_STEP & top)) & low
+    x = ((x ^ (x >> 30)) & low) * _MIX1 & low
+    x = ((x ^ (x >> 27)) & low) * _MIX2 & low
+    x ^= x >> 31
+    words = memoryview(x.to_bytes(n << 4, sys.byteorder)).cast("Q")
+    return (state + n * _GAMMA) & _MASK64, words[_LOW_WORDS].tolist()
+
+
+def _shuffle(
+    state: int, items, count: int, outputs: Sequence[int] = (), pos: int = 0
+) -> tuple[int, Sequence[int], int]:
     """Swap ``items[i]`` with a uniform ``items[j]``, j in [i, len), for
-    i = 0..count-1, drawing as ``below(len - i)`` would from ``state``;
-    return the state after the last draw."""
+    i = 0..count-1, drawing as ``below(len - i)`` would.
+
+    The draws read ``outputs[pos:]``, the generator's next outputs, if
+    any, and then chunks mixed from ``state``, the state after the last
+    of them;
+    return ``(state, outputs, pos)`` after the last draw.  A chunk mixed
+    here is no longer than the draws still to come, so every output it
+    holds is drawn.
+    """
     n = len(items)
     # Every bound here is at most n, and a bound's limit exceeds 2**64
     # minus the bound, so a draw below ``cut`` is accepted without
     # computing its limit.
     cut = _TWO64 - n
+    end = len(outputs)
     for i in range(count):
         bound = n - i
         while True:
-            state = (state + _GAMMA) & _MASK64
-            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-            z ^= z >> 31
+            if pos == end:
+                state, outputs = _mix(state, min(count - i, _CHUNK))
+                pos, end = 0, len(outputs)
+            z = outputs[pos]
+            pos += 1
             if z < cut or z < _limit(bound):
                 break
         j = i + z % bound
         items[i], items[j] = items[j], items[i]
-    return state
+    return state, outputs, pos
 
 
 def _limit(bound: int) -> int:
@@ -177,21 +238,40 @@ def _user_steps(rng: SplitMix64, n: int, k: int) -> list[list[int]]:
     size_limit = _limit(max_auth)
     steps = list(range(k))
     out = []
-    state = rng._state
-    for _ in range(n):
+    state, outputs, pos = rng._state, (), 0
+    for left in range(n, 0, -1):
         while True:
-            state = (state + _GAMMA) & _MASK64
-            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-            z ^= z >> 31
+            if pos == len(outputs):
+                # Each user left draws at least twice, its size and a step,
+                # so every output of the chunk is drawn.
+                state, outputs = _mix(state, min(2 * left, _CHUNK))
+                pos = 0
+            z = outputs[pos]
+            pos += 1
             if z < size_limit:
                 break
         m = 1 + z % max_auth
         items = steps[:]
-        state = _shuffle(state, items, m)
+        state, outputs, pos = _shuffle(state, items, m, outputs, pos)
         out.append(items[:m])
     rng._state = state
     return out
+
+
+class _Unmoved(dict):
+    """A sequence of ``n`` items for ``_shuffle``, item t being t until a
+    swap overwrites it: only the overwritten items are stored, so a
+    partial shuffle of ``count`` items takes memory in ``count``, not n."""
+
+    # Item t of the unmoved ones is t, returned without a Python call.
+    __missing__ = staticmethod(operator.index)
+
+    def __init__(self, n: int):
+        super().__init__()
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
 
 
 def generate(config: GeneratorConfig) -> WorkflowInstance:
@@ -203,9 +283,16 @@ def generate(config: GeneratorConfig) -> WorkflowInstance:
     user_steps = _user_steps(rng, n, k)
 
     constraints: list[UserIndependentConstraint] = []
-    all_pairs = [(s, t) for s in range(k) for t in range(s + 1, k)]
-    for s, t in rng.take(all_pairs, config.not_equals):
-        constraints.append(NotEquals(s, t))
+    # The not-equals pairs are those of ``rng.take`` on the lexicographic
+    # list of the k(k-1)/2 pairs, drawn on their indices so that the list
+    # is never built.  The pairs (s, .) start at index row_start[s].
+    picked = _Unmoved(k * (k - 1) // 2)
+    rng._state = _shuffle(rng._state, picked, config.not_equals)[0]
+    row_start = list(accumulate(range(k - 1, 0, -1), initial=0))
+    for i in range(config.not_equals):
+        t = picked[i]
+        s = bisect_right(row_start, t) - 1
+        constraints.append(NotEquals(s, s + 1 + t - row_start[s]))
     for _ in range(config.counting):
         scope = rng.take(list(range(k)), COUNTING_SCOPE_SIZE)
         constraints.append(AtMost(COUNTING_BOUND, frozenset(scope)))

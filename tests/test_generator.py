@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -20,6 +21,7 @@ from wspsolve import (
     generate,
     serialize_instance,
 )
+from wspsolve.generator import _CHUNK, _GAMMA, _MIX1, _MIX2, _mix
 
 #: Published first outputs of SplitMix64; any reimplementation of the
 #: generator must reproduce these exactly.
@@ -100,6 +102,46 @@ class SparseList:
 
     def __setitem__(self, i, value):
         self.moved[i] = value
+
+
+def unmix(z):
+    """The state whose SplitMix64 output is ``z``: the finalizer undone.
+    Its odd multipliers are invertible mod 2**64, and x ^ (x >> s) is
+    undone by repeating x = z ^ (x >> s) until every bit is settled."""
+
+    def unshift(z, s):
+        x = z
+        for _ in range(64 // s):
+            x = z ^ (x >> s)
+        return x
+
+    z = unshift(z, 31) * pow(_MIX2, -1, 2**64) % 2**64
+    z = unshift(z, 27) * pow(_MIX1, -1, 2**64) % 2**64
+    return unshift(z, 30)
+
+
+def seed_with_output(p, z):
+    """A seed whose output number ``p`` (from 0) is ``z``."""
+    return (unmix(z) - (p + 1) * _GAMMA) % 2**64
+
+
+def user_draw_log(cfg):
+    """``(kind, rejected)`` for each output the reference reads for the
+    users' steps, in order; ``kind`` is "size" or "step"."""
+    rng, k, log = SplitMix64(cfg.seed), cfg.step_count, []
+
+    def below(bound, kind):
+        limit = 2**64 - 2**64 % bound
+        while True:
+            x = rng.next_u64()
+            log.append((kind, x >= limit))
+            if x < limit:
+                return x % bound
+
+    for _ in range(cfg.user_count):
+        for i in range(1 + below(math.ceil(k / 2), "size")):
+            below(k - i, "step")
+    return log
 
 
 # --- the pinned RNG ----------------------------------------------------------
@@ -184,6 +226,64 @@ def test_take_on_a_length_near_two_to_the_63():
         rng, ref = SplitMix64(seed), SplitMix64(seed)
         assert rng.take(SparseList(n), 40) == take_reference(ref, SparseList(n), 40)
         assert rng.next_u64() == ref.next_u64()
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(1, 2 * _CHUNK))
+@example(2**64 - 1, 2 * _CHUNK)
+@example(2**64 - _GAMMA, 3)  # the first lane is 2**64, the next wrap past it
+@example(0, 1)
+def test_mixed_chunks_are_the_published_stream(state, n):
+    ref = SplitMix64(state)
+    outputs = []
+    while len(outputs) < n:
+        state, chunk = _mix(state, min(n - len(outputs), _CHUNK))
+        outputs += chunk
+    assert outputs == [ref.next_u64() for _ in range(n)]
+    assert SplitMix64(state).next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("p", [0, _CHUNK - 1, _CHUNK])
+def test_take_with_a_rejected_draw_at_a_chunk_boundary(p):
+    # 2**64 - 1 is rejected below any bound that is not a power of two;
+    # 3000 - p is none, and a take of 1500 mixes a full first chunk.
+    class Recording(SplitMix64):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.outputs = []
+
+        def next_u64(self):
+            self.outputs.append(super().next_u64())
+            return self.outputs[-1]
+
+    seed = seed_with_output(p, 2**64 - 1)
+    rng, ref = SplitMix64(seed), Recording(seed)
+    items, ref_items = list(range(3000)), list(range(3000))
+    assert rng.take(items, 1500) == take_reference(ref, ref_items, 1500)
+    assert len(ref.outputs) == 1501 and ref.outputs[p] == 2**64 - 1  # one rejection, at p
+    assert items == ref_items
+    assert rng.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize(
+    "p, kind", [(0, "size"), (_CHUNK - 1, "size"), (_CHUNK, "size"),
+                (_CHUNK - 1, "step"), (_CHUNK, "step")]
+)
+def test_generate_with_a_rejected_draw_at_a_chunk_boundary(p, kind):
+    # With 600 users the first chunk of the users' draws is a full one.
+    # Output p is rejected by construction; the search is for a step count
+    # at which the reference reads it as a draw of the wanted kind.
+    for k in range(5, 60):
+        cfg = GeneratorConfig(k, 3, 1, seed_with_output(p, 2**64 - 1), users=600)
+        log = user_draw_log(cfg)
+        if log[p] == (kind, True) and sum(rejected for _, rejected in log) == 1:
+            break
+    else:
+        pytest.fail(f"no step count puts a rejected {kind} draw at output {p}")
+    inst = generate(cfg)
+    ref_users, ref_constraints = generate_reference(cfg)
+    assert inst.auth.user_steps == tuple(ref_users)
+    # The constraints are drawn after the users, from the state they leave.
+    assert inst.constraints == ref_constraints
 
 
 def test_take_prefixes():
@@ -308,6 +408,25 @@ def test_generate_matches_the_reference_draws(k, seed, users, data):
     ref_users, ref_constraints = generate_reference(cfg)
     assert inst.auth.user_steps == tuple(ref_users)
     assert inst.constraints == ref_constraints
+
+
+@given(st.integers(1, 40), st.integers(0, 2**64 - 1), st.data())
+def test_not_equals_pairs_match_the_listed_pairs(k, seed, data):
+    e = data.draw(st.integers(0, k * (k - 1) // 2), label="e")
+    cfg = GeneratorConfig(k, e, 0, seed, users=1)
+    assert generate(cfg).constraints == generate_reference(cfg)[1]
+
+
+def test_a_few_pairs_of_many_steps_take_little_memory():
+    # Listing all k(k-1)/2 pairs before the draw peaked at 107 MB.
+    tracemalloc.start()
+    try:
+        inst = generate(GeneratorConfig(1500, 3, 0, 0, users=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(inst.constraints) == 3
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize(
