@@ -141,10 +141,9 @@ def _shuffle(
     """Swap ``items[i]`` with a uniform ``items[j]``, j in [i, len), for
     i = 0..count-1, drawing as ``below(len - i)`` would.
 
-    The draws read ``outputs[pos:]``, the generator's next outputs, if
-    any, and then chunks mixed from ``state``, the state after the last
-    of them;
-    return ``(state, outputs, pos)`` after the last draw.  A chunk mixed
+    The draws read ``outputs[pos:]``, the generator's next outputs, and
+    then chunks mixed from ``state``, the state after the last of them.
+    Return ``(state, outputs, pos)`` after the last draw.  A chunk mixed
     here is no longer than the draws still to come, so every output it
     holds is drawn.
     """
