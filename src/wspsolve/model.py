@@ -507,7 +507,12 @@ def parse_solution(text: str) -> tuple[str, Plan | None]:
         toks = ln.split()
         if len(toks) != 3 or toks[0] != "assign":
             raise ValueError(f"bad assign line {ln!r}")
-        plan[int(toks[1])] = int(toks[2])
+        step, user = int(toks[1]), int(toks[2])
+        if step < 0 or user < 0:
+            raise ValueError(f"negative step or user in line {ln!r}")
+        if step in plan:
+            raise ValueError(f"step {step} assigned twice, again in line {ln!r}")
+        plan[step] = user
     return SAT, plan
 
 

@@ -61,7 +61,7 @@ the score alone, and learns nothing.
 The walk is one loop over an explicit stack, one frame per depth
 holding the chosen step and the next label to try, so the depth of the
 tree is bounded by memory rather than by Python's recursion limit.  It
-yields each realisable complete pattern with its witness, the user of
+records each realisable complete pattern with its witness, the user of
 each step, as it is found.  ``solve_enumerating`` keeps every witness as
 k user ids in one flat array, one byte per id up to 256 users and two up
 to 65,536, and builds a plan ``dict`` only when a caller reads it from
@@ -89,7 +89,6 @@ counter are those of the one-process walk.
 
 from __future__ import annotations
 
-import itertools
 import marshal
 import math
 import operator
@@ -470,19 +469,17 @@ class SearchState(Pattern):
         return True
 
 
-def _search(
-    state: SearchState, split: _Split, stats: SearchStats
-) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """Depth-first walk yielding (canonical pattern, users) per realisable leaf.
+def _search(state: SearchState, split: _Split, stats: SearchStats) -> None:
+    """Depth-first walk recording each realisable leaf into ``split``'s open run.
 
-    ``users[s]`` is the witness's user for step s.  A label for the last
-    step decides a complete pattern in place, without ``extend``.  The
-    walk prunes if ``split.prune``, and its tasks are the label attempts
-    at depth ``split.depth``.
+    A leaf appends its canonical pattern to ``split.patterns`` and each
+    step's user to ``split.witnesses``, deciding the last step's label in
+    place, without ``extend``.  The walk prunes if ``split.prune``; its
+    tasks are the label attempts at depth ``split.depth``.
 
-    Raises _Timeout once ``split.deadline`` has passed.  The counters are
-    kept in locals and written to ``stats`` when the walk ends: when it is
-    exhausted, on a timeout, or when the generator is closed early.
+    Raises _Stop at the ``split.limit``-th pattern, and _Timeout once
+    ``split.deadline`` has passed.  The counters are kept in locals and
+    written to ``stats`` when the walk ends, however it ends.
 
     Unless ``state.weight`` is None, the walk learns it: each eligibility
     cut bumps its cause, and each forward cut the causes of the labels the
@@ -530,6 +527,7 @@ def _search(
     matched = 0
     before = [(matched, held)] * k
     boundary, tick, wake = split.boundary, split.tick, split.wake
+    patterns, witnesses, limit = split.patterns, split.witnesses, split.limit
     try:
         if clock() >= split.deadline:
             raise _Timeout
@@ -613,7 +611,10 @@ def _search(
                 user_of = match_blocks(block_masks[1:end], held[1:end])
                 if user_of is not None:
                     matchings_full += 1
-                    yield canonicalize(entries), [user_of[b - 1] for b in entries]
+                    patterns.append(canonicalize(entries))
+                    witnesses.fromlist([user_of[b - 1] for b in entries])
+                    if len(patterns) == limit:
+                        raise _Stop
             entries[step] = 0
             block_masks[x] = mask
             matched, held = before[depth]
@@ -990,20 +991,14 @@ def _walk(
     if split.limit is None:
         state.weight = None
     stats = SearchStats()
-    patterns, witnesses = split.patterns, split.witnesses
     timed_out = False
-    search = _search(state, split, stats)
     try:
-        for pattern, users in itertools.islice(search, split.limit):
-            patterns.append(pattern)
-            witnesses.fromlist(users)
+        _search(state, split, stats)
     except _Timeout:
         timed_out = True
     except _Stop:
         pass
-    finally:
-        search.close()
-    return patterns, witnesses, stats, timed_out
+    return split.patterns, split.witnesses, stats, timed_out
 
 
 def _drive(
@@ -1094,13 +1089,10 @@ class _Plans(Sequence[Plan]):
     def __len__(self) -> int:
         return len(self._users) // self._k
 
-    def __getitem__(self, index: int) -> Plan:
-        n = len(self)
-        i = operator.index(index)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("plan index out of range")
+    def __getitem__(self, index: int | slice) -> Plan | list[Plan]:
+        i = range(len(self))[index]  # IndexError past either end; a slice gives a range
+        if isinstance(i, range):
+            return [self[j] for j in i]
         k = self._k
         return dict(enumerate(self._users[i * k : i * k + k]))
 

@@ -453,6 +453,12 @@ def test_solution_round_trip():
         format_solution("sat", None)
     with pytest.raises(ValueError):
         parse_solution("maybe\n")
+    # A contradiction or a negative id is an error naming its line.
+    with pytest.raises(ValueError, match="twice.*'assign 0 2'"):
+        parse_solution("sat\nassign 0 1\nassign 0 2\n")
+    for line in ("assign -1 5", "assign 0 -3"):
+        with pytest.raises(ValueError, match=f"negative.*{line!r}"):
+            parse_solution(f"sat\n{line}\n")
 
 
 # --- preprocessing ----------------------------------------------------------

@@ -139,7 +139,10 @@ def test_select_step_requires_unassigned():
     state = SearchState(full_auth(2, 2))
     state.extend(0, 1)
     state.extend(1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pattern is complete"):
+        state.select_step()
+    state.weight = None  # the static order has a branch of its own
+    with pytest.raises(ValueError, match="pattern is complete"):
         state.select_step()
 
 
@@ -670,9 +673,16 @@ def test_enumerated_plans_are_a_sequence_of_fresh_dicts():
     for index in (n, -n - 1):
         with pytest.raises(IndexError):
             plans[index]
+    for index in (slice(1, 3), slice(None, None, -1), slice(-2, None)):
+        got = plans[index]
+        assert type(got) is list and got == listed[index]
+        assert all(type(plan) is dict for plan in got)
+        assert got[0] is not plans[index][0]
     # Each access builds a new dict, so editing one leaves the view as it was.
     plans[0][0] = -1
     assert plans[0] == listed[0]
+    plans[-2:][0][0] = -1
+    assert plans[-2:] == listed[-2:]
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["default", "split"])
@@ -932,6 +942,21 @@ def parity_claim(split):
     return t, t
 
 
+def record_own_runs(mp, record):
+    """Wrap ``_Split.end_run`` to call ``record(pattern, users)`` for each
+    pattern of this process's (side 0's) runs as the run ends."""
+    end_run = solver._Split.end_run
+
+    def recording(split, counts):
+        if split.side == 0:
+            k, witnesses = split.instance.step_count, split.witnesses
+            for i, pattern in enumerate(split.patterns):
+                record(pattern, list(witnesses[i * k : i * k + k]))
+        end_run(split, counts)
+
+    mp.setattr(solver._Split, "end_run", recording)
+
+
 def striding_claims(seed):
     """A ``_Split.claim`` that takes 1 to 4 tasks at once off the shared
     counter, each side drawing its counts from its own generator."""
@@ -1009,16 +1034,9 @@ def test_split_search_without_prunes_is_the_one_process_walk(depth):
 def test_no_helper_outlives_a_sat_answer(case, depth, parent_found):
     inst = split_case(*case)
     want = one_process(inst, depth)
-    found = []  # the solutions this process's own walk yielded
-    search = solver._search
-
-    def recording(*args):
-        for item in search(*args):
-            found.append(item)
-            yield item
-
+    found = []  # the solutions this process's own walk recorded
     with forced_split(depth) as mp:
-        mp.setattr(solver, "_search", recording)
+        record_own_runs(mp, lambda *item: found.append(item))
         mp.setattr(solver._Split, "claim", parity_claim)  # who finds the solution
         got = solve(inst)
     assert_no_child_process()
@@ -1316,16 +1334,9 @@ def test_a_timed_out_split_enumeration_keeps_the_helpers_reported_patterns():
     case = ENUM_SPLIT_CASES[4]
     inst = enum_case(*case)
     want = one_process_enumeration(case)
-    found = set()  # the patterns this process's own walk yielded
-    search = solver._search
-
-    def recording(*args):
-        for item in search(*args):
-            found.add(item[0])
-            yield item
-
+    found = set()  # the patterns this process's own walk recorded
     with forced_split(solver.ENUM_SPLIT_DEPTH) as mp:
-        mp.setattr(solver, "_search", recording)
+        record_own_runs(mp, lambda pattern, users: found.add(pattern))
         got = solve_enumerating(inst, time_limit=0.25)
     assert (got.timed_out, got.stats.processes) == (True, 2)
     assert got.patterns == want.patterns[: got.count]
