@@ -71,20 +71,21 @@ Per-constraint state is flat (see ``SearchState``) and, like the held
 matching, copied on each change rather than logged for undo (Schulte
 compares copying with trailing for constraint programming).
 
-A search that is still running after ``SPLIT_AFTER`` seconds forks one
-helper process and shares its remaining subtrees with it, as in
-parallel depth-first search after Rao and Kumar: each process, done
-with its subtree, claims the next unclaimed one from a counter the two
-share, so neither idles while the other has work left.  The subtrees
-are the tasks below ``SPLIT_DEPTH`` in a decision and
-``ENUM_SPLIT_DEPTH`` in an enumeration.  A decision resets its weights
-at every label attempt down to its task depth, so both processes walk
-the depths above the tasks alike and start each task from the same
-weights.  Both processes run the same ``_Split``: each records its
-counters and patterns per run of the tasks it owns, and one pass over
-both processes' runs in depth-first order merges them, so the outcome,
-the witnesses, the order of an enumeration's patterns and every search
-counter are those of the one-process walk.
+A search that is still running after ``SPLIT_AFTER`` seconds, 5 ms,
+forks one helper process at its next deadline check, one every
+``TIMEOUT_CHECK_INTERVAL`` (64) nodes, and shares its remaining
+subtrees with it, as in parallel depth-first search after Rao and
+Kumar: each process, done with its subtree, claims the next unclaimed
+one from a counter the two share, so neither idles while the other has
+work left.  The subtrees are the tasks below ``SPLIT_DEPTH`` in a
+decision and ``ENUM_SPLIT_DEPTH`` in an enumeration.  A decision resets
+its weights at every label attempt down to its task depth, so both
+processes walk the depths above the tasks alike and start each task
+from the same weights.  Both processes run the same ``_Split``: each
+records its counters and patterns per run of the tasks it owns, and one
+pass over both processes' runs in depth-first order merges them, so the
+outcome, the witnesses, the order of an enumeration's patterns and every
+search counter are those of the one-process walk.
 """
 
 from __future__ import annotations
@@ -135,18 +136,20 @@ def _weight(room: int) -> float:
 _SPEND_DELTA = tuple(_weight(g - 1) - _weight(g) for g in range(4))
 
 
-#: The deadline is consulted once every this many search nodes.
-TIMEOUT_CHECK_INTERVAL = 1024
+#: The deadline is consulted once every this many search nodes, about a
+#: millisecond of a k=30 search, so that the fork, a helper's report and
+#: the parent's notice of it each come within a few dozen nodes.
+TIMEOUT_CHECK_INTERVAL = 64
 
 _TIMEOUT_MASK = TIMEOUT_CHECK_INTERVAL - 1
 
 _ASSIGNED = -math.inf
 
 
-#: A search forks its helper once it has run this many seconds, about
-#: five times what forking and reaping a process costs, so that a
-#: search shorter than this never pays for one.
-SPLIT_AFTER = 0.01
+#: A search forks its helper at the first deadline check after it has
+#: run this many seconds, three to five times what forking and reaping a
+#: process costs, so that a search shorter than this never pays for one.
+SPLIT_AFTER = 0.005
 
 #: The depth whose label attempts are the tasks the two processes share
 #: in a decision, and down to which its walk resets the learnt weights
@@ -876,11 +879,6 @@ class _Split:
                 _helper(self)
             finally:
                 os._exit(0)
-        try:  # an enumeration's reports, about 130 KB each, would fill a default pipe
-            import fcntl  # not on every platform, so imported only here
-            fcntl.fcntl(reports_r, fcntl.F_SETPIPE_SZ, 1 << 20)
-        except (ImportError, OSError):
-            pass
         self.pid, self.reports_fd, self.alive_fd = pid, reports_r, alive_w
         self.reported = self.first + 1
         os.close(reports_w)
@@ -950,7 +948,7 @@ class _Split:
         return merged, users, stats, timed_out and not settled
 
     def close(self) -> None:
-        """Kill and reap the helper, if it runs."""
+        """Kill the helper, if it still runs, and reap it."""
         if self.pid:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
@@ -961,11 +959,11 @@ class _Split:
 
 def _helper(split: _Split) -> None:
     """The helper's walk, its runs reported to ``split.reports_fd`` as they
-    finish, then a wait until side 0 closes ``split.alive_fd``'s other end."""
+    finish and the last with its end; the helper exits then, and side 0's
+    ``close`` reaps it."""
     stats = _walk(SearchState(split.instance), split)[2]
     split.end_run(_counts(stats))
     split.report(True)
-    _readable(split.alive_fd, None)
 
 
 def _root_unsat(instance: WorkflowInstance) -> bool:
@@ -1055,18 +1053,20 @@ def solve(
     changes the verdict.  The instance must already be preprocessed,
     i.e. free of binding-of-duty constraints.
 
-    A search still running after ``SPLIT_AFTER`` seconds forks one
-    helper process, on Linux with at least two CPUs, from a
-    single-threaded process that is not a ``multiprocessing`` worker;
-    the two claim the subtrees below a fixed depth one at a time from a
-    counter they share.  The outcome, the witness and every
+    A search still running after ``SPLIT_AFTER`` seconds (5 ms) forks
+    one helper process at its next deadline check, one every
+    ``TIMEOUT_CHECK_INTERVAL`` (64) nodes, on Linux with at least two
+    CPUs, from a single-threaded process that is not a
+    ``multiprocessing`` worker; the two claim the subtrees below a fixed
+    depth one at a time from a counter they share.  The outcome, the witness and every
     counter are those of the one-process search; only
     ``stats.processes`` and the times tell.  The fork is otherwise
     visible to the caller: its ``os.register_at_fork`` hooks run,
     ``before`` and ``after_in_parent`` in the caller and
-    ``after_in_child`` in the helper, and the helper holds a copy of every file descriptor the caller has
-    open.  ``solve`` kills the helper with SIGKILL and reaps it before
-    it returns or raises.
+    ``after_in_child`` in the helper, and the helper holds a copy of
+    every file descriptor the caller has open.  The helper exits once
+    its walk ends; ``solve`` kills it with SIGKILL if it still runs, and
+    reaps it, before it returns or raises.
     """
     patterns, users, stats, timed_out = _drive(instance, time_limit, prune, 1)
     status = TIMEOUT if timed_out else SAT if patterns else UNSAT

@@ -63,8 +63,8 @@ def test_readme_cli_flags_exist():
 
 
 def test_imports_and_solves_without_fcntl():
-    """The package uses ``fcntl`` only where it forks, so it imports and
-    solves on a platform without the module."""
+    """The package needs no ``fcntl``, so it imports and solves on a
+    platform without the module."""
     code = (
         "import sys; sys.modules['fcntl'] = None\n"
         "from wspsolve import Valid, parse_instance, preprocess, solve, validate_plan\n"

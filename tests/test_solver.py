@@ -1029,7 +1029,7 @@ def test_split_search_without_prunes_is_the_one_process_walk(depth):
 
 @pytest.mark.parametrize(
     "case, depth, parent_found",
-    [((22, 26, 3), 4, True), ((20, 28, 1), 4, False)],
+    [((20, 28, 1), 4, True), ((22, 26, 3), 4, False)],
 )
 def test_no_helper_outlives_a_sat_answer(case, depth, parent_found):
     inst = split_case(*case)
@@ -1077,7 +1077,7 @@ def test_no_helper_outlives_an_error_in_the_walk():
     select_step = SearchState.select_step
 
     def failing(state):
-        # Well past the split at the first deadline check, node 1025.
+        # Well past the split at the first deadline check, node 65.
         if next(calls) == 3000 and os.getpid() == parent:
             raise RuntimeError("select_step failed")
         return select_step(state)
@@ -1175,10 +1175,11 @@ def test_a_helper_lost_holding_the_counter_leaves_the_one_process_answer(case, c
 
 
 def test_a_split_search_timed_out_past_a_settled_solution_is_sat():
-    # The parent reads nothing at its first check after the fork, so it
-    # walks past the task of the helper's solution; at the next it takes
-    # in that solution and its deadline passes.  Every task before the
-    # solution has then been walked, so the answer is settled.
+    # The parent reads nothing at its first 48 checks after the fork, so
+    # it walks past the task of the helper's solution (from the 35th on,
+    # here); at the next it takes in that solution and its deadline
+    # passes.  Every task before the solution has then been walked, so the
+    # answer is settled.
     inst = split_case(24, 32, 4)
     want = one_process(inst, 4)
     tick = solver._Split.tick
@@ -1187,7 +1188,7 @@ def test_a_split_search_timed_out_past_a_settled_solution_is_sat():
 
     def late(split):
         if split.pid:  # the parent, once forked
-            if next(checks) == 0:
+            if next(checks) < 48:
                 return time.perf_counter()
             while not split.done:
                 solver._readable(split.reports_fd, None)
@@ -1203,6 +1204,31 @@ def test_a_split_search_timed_out_past_a_settled_solution_is_sat():
     assert passed == [True]
     assert (got.status, got.plan, got.stats.processes) == (SAT, want.plan, 2)
     assert search_counters(got) == search_counters(want)
+
+
+def test_the_fork_comes_within_a_few_checks_of_split_after(monkeypatch):
+    # A clock that reads 1 ms later at every call, so that SPLIT_AFTER
+    # passes after a fixed number of deadline checks on any machine.  The
+    # fork ends the walk as a timeout does, so the stats count the nodes
+    # walked when it came.
+    class Clock:
+        now = 0.0
+
+        def perf_counter(self):
+            self.now += 0.001
+            return self.now
+
+    def fork(split):
+        raise solver._Timeout
+
+    inst = split_case(24, 33, 0)
+    assert one_process(inst, solver.SPLIT_DEPTH).stats.nodes >= 2000
+    monkeypatch.setattr(solver, "time", Clock())
+    monkeypatch.setattr(solver, "_may_fork", lambda: True)
+    monkeypatch.setattr(solver._Split, "_fork", fork)
+    out = solve(inst)
+    assert out.status == TIMEOUT
+    assert out.stats.nodes < 1024
 
 
 def test_no_split_where_a_helper_is_unsafe():
@@ -1351,7 +1377,7 @@ def test_no_helper_outlives_an_error_in_an_enumeration():
     select_step = SearchState.select_step
 
     def failing(state):
-        # Well past the split at the first deadline check, node 1025.
+        # Well past the split at the first deadline check, node 65.
         if next(calls) == 3000 and os.getpid() == parent:
             raise RuntimeError("select_step failed")
         return select_step(state)
